@@ -6,6 +6,13 @@ installed, the tuned pure-NumPy fastpath otherwise) on two Table-1-like
 graphs — an R-MAT power-law graph (~1M edges at the default scale) and
 a Watts–Strogatz small-world ring — verifying output parity on every
 measured call, and writes a machine-readable ``BENCH_kernels.json``.
+Each row's ``numba_tier`` names the module that ran in the accelerated
+slot (``jit``, ``fastpath``, or the ``reference`` fallback).  The
+multi-source kernel gets two rows, both driven through
+``multi_source_reach``: a certificate-shaped sweep
+(``ms_expand_frontier:certificate``) and the first batch of the graph's
+own Recur-FWBW tail (``ms_expand_frontier:batch``; the Watts–Strogatz
+ring is one SCC, so it has no tail and no batch row).
 
 Run as a script (CI runs the ``--quick`` smoke)::
 
@@ -26,6 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import SCCState
+from repro.core.parfwbw import par_fwbw
+from repro.core.recurfwbw import (
+    Phase2BatchPolicy,
+    WorkItem,
+    multi_source_reach,
+    plan_batches,
+)
+from repro.core.wcc import par_wcc
 from repro.generators import rmat_graph, watts_strogatz_graph
 from repro.kernels import (
     backend_info,
@@ -33,6 +49,7 @@ from repro.kernels import (
     dfs_collect_colored,
     effective_degrees_arrays,
     expand_frontier,
+    get_kernel,
     trim_decrement,
     use_backend,
     wcc_hook_round,
@@ -150,6 +167,51 @@ def drive_wcc_round(g):
     return run
 
 
+def drive_ms_certificate(g):
+    """A ``sample`` certificate's sweep: one wave over a giant colour
+    holding all but seven nodes, plus seven singleton waves, FW and BW
+    to fixpoint."""
+    color = np.zeros(g.num_nodes, dtype=np.int64)
+    singles = np.linspace(1, g.num_nodes - 1, 7).astype(np.int64)
+    color[singles] = np.arange(1, 8)
+    pivots = np.concatenate(([0], singles))
+
+    def run():
+        return multi_source_reach(
+            g.indptr, g.indices, g.in_indptr, g.in_indices,
+            color, color[pivots], pivots,
+        )
+
+    return run
+
+
+def drive_ms_batch(g):
+    """The first batch of ``g``'s own Recur-FWBW tail: the queue Par-WCC
+    hands to phase 2 after Par-FWBW, grouped by the default batch
+    policy, with each item's colour and a pivot drawn as the batch task
+    draws it.  ``None`` when the graph has no such batch."""
+    state = SCCState(g, seed=123)
+    par_fwbw(state, 0, giant_threshold=0.01, max_trials=5)
+    queue = [WorkItem(color=c, nodes=nodes) for c, nodes in par_wcc(state)]
+    plan = plan_batches(queue, Phase2BatchPolicy())
+    batch = next((e for e in plan if isinstance(e, list)), None)
+    if batch is None:
+        return None
+    colors = np.array([item.color for item in batch], dtype=np.int64)
+    pivots = np.array(
+        state.pick_many([item.nodes for item in batch], "random"),
+        dtype=np.int64,
+    )
+
+    def run():
+        return multi_source_reach(
+            g.indptr, g.indices, g.in_indptr, g.in_indices,
+            state.color, colors, pivots,
+        )
+
+    return run
+
+
 KERNEL_DRIVERS = (
     ("expand_frontier", drive_expand),
     ("bfs_level_transform", drive_bfs_level),
@@ -157,21 +219,33 @@ KERNEL_DRIVERS = (
     ("effective_degrees", drive_effective_degrees),
     ("trim_decrement", drive_trim_decrement),
     ("wcc_hook_round", drive_wcc_round),
+    ("ms_expand_frontier:certificate", drive_ms_certificate),
+    ("ms_expand_frontier:batch", drive_ms_batch),
 )
 
 
 def bench_graph(g, repeats):
     rows = {}
     for name, make in KERNEL_DRIVERS:
+        kernel = name.partition(":")[0]
         times, results = {}, {}
         for backend in BACKENDS:
             with use_backend(backend):
                 run = make(g)
+                if run is None:  # no such workload on this graph
+                    break
                 times[backend], results[backend] = _best_of(run, repeats)
+        if run is None:
+            continue
+        with use_backend("numba"):
+            # the module that ran in the accelerated slot: jit,
+            # fastpath, or the reference fallback
+            tier = get_kernel(kernel).__module__.rsplit(".", 1)[-1]
         _assert_equal(results["numpy"], results["numba"], name)
         rows[name] = {
             "numpy_s": round(times["numpy"], 6),
             "numba_s": round(times["numba"], 6),
+            "numba_tier": tier,
             "speedup": round(times["numpy"] / max(times["numba"], 1e-12), 3),
             "outputs_identical": True,
         }
@@ -224,8 +298,8 @@ def main(argv=None) -> int:
         }
         for kname, row in rows.items():
             print(
-                f"{name:>5s} {kname:<22s} numpy {row['numpy_s']*1e3:9.2f} ms"
-                f"  numba {row['numba_s']*1e3:9.2f} ms"
+                f"{name:>5s} {kname:<30s} numpy {row['numpy_s']*1e3:9.2f} ms"
+                f"  {row['numba_tier']:>9s} {row['numba_s']*1e3:9.2f} ms"
                 f"  speedup {row['speedup']:6.2f}x"
             )
 

@@ -1170,6 +1170,9 @@ class SCCService:
                 corrupt_session(session, attempt)
                 runs_before = session.stats.runs
                 warm_before = session.stats.warm_runs
+                # read inside the turnstile: an update committing once
+                # the turn ends must not restamp this run's answer.
+                version = session.version
                 try:
                     result = self.engine.run(
                         session,
@@ -1198,7 +1201,7 @@ class SCCService:
                         # pin the certificate to the exact graph state
                         # it proves: mutable sessions advance this per
                         # applied update batch.
-                        certificate["graph_version"] = session.version
+                        certificate["graph_version"] = version
                 except IntegrityError as exc:
                     # corruption (or a failed certificate) caught
                     # before any response: quarantine the rotten
@@ -1216,7 +1219,7 @@ class SCCService:
                     session.stats.runs == runs_before + 1
                     and session.stats.warm_runs == warm_before + 1
                 )
-            return backend, session, result, warm, certificate
+            return backend, session, result, warm, certificate, version
 
         def on_failure(exc: BaseException, attempt: int) -> None:
             # Only infra failures are backend-health signals; a typo'd
@@ -1227,7 +1230,9 @@ class SCCService:
         outcome = self.config.retry.execute(
             attempt_fn, key=seq, on_failure=on_failure
         )
-        backend, session, result, warm, certificate = outcome.value
+        backend, session, result, warm, certificate, version = (
+            outcome.value
+        )
         self.breakers.record(backend, ok=True)
         if outcome.attempts > 1:
             self.retried += 1
@@ -1252,7 +1257,7 @@ class SCCService:
             "backoff_seconds": outcome.backoff_seconds,
             "retried_errors": outcome.errors,
             "session_fingerprint": session.fingerprint,
-            "graph_version": session.version,
+            "graph_version": version,
         }
         if certificate is not None:
             response["certificate"] = certificate

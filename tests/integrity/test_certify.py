@@ -8,12 +8,15 @@ the graph itself, so relabelings pass and *partition* changes fail.
 import numpy as np
 import pytest
 
+import repro.kernels
 from repro.core import tarjan_scc
 from repro.core.result import canonical_labels
 from repro.errors import IntegrityError
 from repro.generators import generate
 from repro.graph import from_edge_list
 from repro.integrity import CERTIFY_LEVELS, certify_result
+from repro.kernels import fastpath
+from repro.kernels.reference import DEDUP_DENSITY_DIVISOR
 
 from tests.conftest import SMALL_GRAPHS, random_digraph
 
@@ -112,6 +115,106 @@ class TestRejects:
         assert cert["tarjan_checked"]
         assert not cert["ok"]
         assert any("Tarjan" in f for f in cert["failures"])
+
+
+@pytest.fixture
+def fastpath_sweeps(monkeypatch):
+    """Route the certificate's sweeps through the fastpath kernel and
+    record, per level, whether its merge took the dense branch (more
+    than ``n / 8`` gained nodes implies more than ``n / 8`` live
+    entries)."""
+    dense = []
+    real_get_kernel = repro.kernels.get_kernel
+
+    def spy(indptr, *args):
+        out = fastpath.ms_expand_frontier(indptr, *args)
+        n = indptr.shape[0] - 1
+        dense.append(out[0].size > n // DEDUP_DENSITY_DIVISOR)
+        return out
+
+    def get_kernel(name, backend=None):
+        if name == "ms_expand_frontier":
+            return spy
+        return real_get_kernel(name, backend)
+
+    monkeypatch.setattr(repro.kernels, "get_kernel", get_kernel)
+    return dense
+
+
+def giant_surrogate():
+    """twitter@0.05: one SCC holds 80% of the nodes."""
+    g = generate("twitter", scale=0.05).graph
+    labels = true_labels(g)
+    uniq, counts = np.unique(labels, return_counts=True)
+    giant = uniq[np.argmax(counts)]
+    assert counts.max() > 0.75 * g.num_nodes
+    return g, labels, giant
+
+
+def edge_arrays(g):
+    return np.repeat(np.arange(g.num_nodes), np.diff(g.indptr)), g.indices
+
+
+def bfs_levels(indptr, indices, source, allowed):
+    """BFS depth of every node reachable from ``source`` inside the
+    ``allowed`` mask (-1 elsewhere)."""
+    level = np.full(allowed.size, -1, dtype=np.int64)
+    level[source] = 0
+    frontier = np.array([source])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        nbrs = np.concatenate(
+            [indices[indptr[u] : indptr[u + 1]] for u in frontier]
+        )
+        nbrs = np.unique(nbrs[allowed[nbrs] & (level[nbrs] < 0)])
+        level[nbrs] = depth
+        frontier = nbrs
+    return level
+
+
+class TestRejectsOnGiant:
+    """The sampled proof still catches partition errors inside the
+    giant SCC, whose sweep runs the fastpath's dense merge."""
+
+    def test_split_from_the_giant_fails(self, fastpath_sweeps):
+        g, labels, giant = giant_surrogate()
+        inside = labels == giant
+        src, dst = edge_arrays(g)
+        internal = inside[src] & inside[dst]
+        indeg = np.bincount(dst[internal], minlength=g.num_nodes)
+        # y's only in-edge from the giant comes from x: moving x out
+        # leaves y unreachable inside the claimed giant.
+        y = np.flatnonzero(inside & (indeg == 1))[0]
+        x = int(src[internal & (dst == y)][0])
+        bad = labels.copy()
+        bad[x] = labels.max() + 1
+        with pytest.raises(IntegrityError, match="not FW∧BW-reachable"):
+            certify_result(g, bad, level="sample")
+        assert any(fastpath_sweeps)
+        assert certify_result(g, labels, level="sample")["ok"]
+
+    def test_merge_at_the_last_level_fails(self, fastpath_sweeps):
+        g, labels, giant = giant_surrogate()
+        inside = labels == giant
+        rep = int(np.flatnonzero(inside)[0])
+        depth = bfs_levels(g.indptr, g.indices, rep, inside)
+        src, dst = edge_arrays(g)
+        # z hangs off the giant's deepest FW level: merged in, the FW
+        # sweep reaches it on its last level and the BW sweep never.
+        exits = inside[src] & ~inside[dst] & (dst > rep)
+        # depth of each outside node's shallowest giant in-neighbour
+        attach = np.full(g.num_nodes, g.num_nodes, dtype=np.int64)
+        np.minimum.at(attach, dst[exits], depth[src[exits]])
+        attach[attach == g.num_nodes] = -1
+        z = int(np.argmax(attach))
+        bad = labels.copy()
+        bad[z] = giant
+        merged = bfs_levels(g.indptr, g.indices, rep, bad == giant)
+        assert merged[z] == merged.max()
+        with pytest.raises(IntegrityError, match="not FW∧BW-reachable"):
+            certify_result(g, bad, level="sample")
+        assert any(fastpath_sweeps)
 
 
 class TestValidation:

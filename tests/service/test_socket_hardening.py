@@ -95,7 +95,13 @@ def test_client_closing_early_is_counted_not_fatal(tmp_path):
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
         s.connect(sock_path)
         s.sendall(b'{"op": "stats"')  # no newline
-    # connection closed before the newline: refused and counted
+    # connection closed before the newline: refused and counted.  The
+    # count lands on that connection's own handler thread, so wait for
+    # it before asking: the stats connection's thread could overtake it.
+    deadline = time.monotonic() + 10
+    while svc.transport_errors < 1:
+        assert time.monotonic() < deadline, "early close never counted"
+        time.sleep(0.01)
     resp = roundtrip(sock_path, {"op": "stats"})
     assert resp["ok"]
     assert resp["transport_errors"] == 1

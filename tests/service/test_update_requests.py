@@ -1,6 +1,8 @@
 """The ``update`` request type: validation, version monotonicity, CRC
 agreement with full runs, journal version stamps, config plumbing."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -232,5 +234,57 @@ class TestMutableSessionIntegrity:
             assert isinstance(session.dynamic, DynamicSCC)
             session.dynamic.verify()
             assert session.version == resp["graph_version"]
+        finally:
+            svc.close()
+
+
+class TestRunVersionStamp:
+    def test_update_after_the_turn_does_not_restamp_the_run(self):
+        """An update committing between the run's engine turn and its
+        response must not relabel a ``v`` answer as ``v + 1``."""
+        g = generate(GRAPH, scale=SCALE, seed=None).graph
+        labels = canonical_labels(tarjan_scc(g))
+        src = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+        cross = np.flatnonzero(labels[src] != labels[g.indices])[0]
+        a, b = int(src[cross]), int(g.indices[cross])
+        svc = in_process_service()
+        try:
+            first = svc.handle(update_request(inserts=[(1, 2)]))
+            assert first["ok"] and first["applied"]
+            session = svc.engine.load(GRAPH, scale=SCALE, seed=None)
+            real_turn = svc._engine_turn
+            raced = []
+
+            @contextmanager
+            def racing_turn():
+                with real_turn():
+                    yield
+                if not raced:
+                    # b -> a closes a cycle through the edge a -> b:
+                    # the SCCs of a and b merge at version v + 1.
+                    raced.append(svc.engine.update(session, [(b, a)], []))
+
+            svc._engine_turn = racing_turn
+            try:
+                run = svc.handle(
+                    {
+                        "op": "run",
+                        "graph": GRAPH,
+                        "scale": SCALE,
+                        "certify": "sample",
+                    }
+                )
+            finally:
+                svc._engine_turn = real_turn
+            assert run["ok"], run
+            (report,) = raced
+            assert report.version == first["graph_version"] + 1
+            assert report.labels_crc32 != first["labels_crc32"]
+            # the answer was computed at v and says so, twice
+            assert run["labels_crc32"] == first["labels_crc32"]
+            assert run["graph_version"] == first["graph_version"]
+            assert run["certificate"]["graph_version"] == (
+                first["graph_version"]
+            )
         finally:
             svc.close()
