@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--backend",
         default=None,
-        help="executor for the parallel methods (default: processes "
+        help="executor for the parallel methods (default: supervised "
         "when fork is available, else serial)",
     )
     ap.add_argument("--warm-runs", type=int, default=None)
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     backend = args.backend or (
-        "processes" if fork_available() else "serial"
+        "supervised" if fork_available() else "serial"
     )
     warm_runs = args.warm_runs or (2 if args.quick else 4)
     datasets = (

@@ -15,9 +15,10 @@ Usage (installed as ``python -m repro``)::
 ``scc`` detects SCCs and (for the parallel methods) reports the
 simulated time at the requested thread count; ``sweep`` prints a full
 Figure 6-style panel; ``info`` prints structural statistics without
-running the parallel algorithms; ``run`` executes under the lifecycle
-harness (phase-boundary checkpoints, per-phase deadlines, backend
-degradation) and ``run --resume`` continues an interrupted run;
+running the parallel algorithms; ``run`` executes a paper pipeline
+with phase-boundary checkpoints and per-phase deadlines
+(:meth:`repro.engine.Engine.run`) and ``run --resume`` continues an
+interrupted run (:meth:`repro.engine.Engine.resume`);
 ``batch`` executes a JSON manifest of jobs over warm engine sessions
 with per-job error isolation (one bad job can't sink the batch);
 ``serve`` runs the long-lived hardened daemon (admission control,
@@ -44,6 +45,7 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .engine.backends import BACKEND_NAMES
     from .kernels import BACKEND_CHOICES
 
     parser = argparse.ArgumentParser(
@@ -118,16 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_scc.add_argument(
         "--backend",
         default="serial",
-        choices=("serial", "threads", "processes", "supervised"),
-        help="phase-2 executor; 'supervised' adds fault tolerance "
-        "(per-task timeouts, retry, serial degradation, verification)",
+        choices=BACKEND_NAMES,
+        help="phase-2 executor; 'supervised' runs worker processes "
+        "with fault tolerance (per-task timeouts, retry, serial "
+        "degradation, verification)",
     )
     p_scc.add_argument(
         "--workers",
         type=int,
         default=2,
-        help="real worker count for the threads/processes/supervised "
-        "backends",
+        help="worker process count for the supervised backend",
     )
     p_scc.add_argument(
         "--task-timeout",
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser(
         "run",
-        help="checkpointed, resumable run under the lifecycle harness",
+        help="checkpointed, resumable, phase-bounded pipeline run",
         parents=[kernel_parent],
     )
     src = p_run.add_mutually_exclusive_group(required=True)
@@ -217,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="method2",
         choices=("method1", "method2"),
-        help="paper pipeline to run (the harness covers the "
-        "checkpointable phase plans)",
+        help="paper pipeline to run (the checkpointable phase plans)",
     )
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--backend",
         default=None,
-        choices=("serial", "threads", "processes", "supervised"),
+        choices=BACKEND_NAMES,
         help="phase-2 executor (default serial; on resume, the "
         "checkpointed choice unless overridden)",
     )
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the non-serial backends",
+        help="worker process count for the supervised backend",
     )
     p_run.add_argument(
         "--threads",
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--backend",
         default="serial",
-        choices=("serial", "threads", "processes", "supervised"),
+        choices=BACKEND_NAMES,
         help="default phase-2 executor for requests that don't name one",
     )
     p_serve.add_argument(
@@ -342,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend-workers",
         type=int,
         default=2,
-        help="default worker count for the non-serial phase-2 "
-        "backends (per engine)",
+        help="default worker count for the supervised phase-2 "
+        "backend (per engine)",
     )
     p_serve.add_argument(
         "--heartbeat-interval",
@@ -425,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="consecutive transient failures that trip a backend's "
         "circuit breaker (traffic then degrades supervised -> "
-        "processes -> serial)",
+        "serial)",
     )
     p_serve.add_argument(
         "--breaker-cooldown",
@@ -830,58 +831,55 @@ def _cmd_scc(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    import os
+
+    from .core.state import check_complete_labels
+    from .engine import Engine
     from .runtime import Machine
-    from .runtime.lifecycle import RunHarness
 
-    if args.resume:
-        overrides = {}
-        if args.backend is not None:
-            overrides["backend"] = args.backend
-        if args.workers is not None:
-            overrides["num_threads"] = args.workers
-        if args.phase_timeout is not None:
-            overrides["phase_timeout"] = args.phase_timeout
-        harness = RunHarness.from_checkpoint(args.resume, **overrides)
-        result = harness.resume(args.resume)
-        label = args.resume
-    else:
-        g, label = _load_graph(args)
-        print(f"graph {label}: {g.num_nodes} nodes, {g.num_edges} edges")
-        harness = RunHarness(
-            args.method,
-            seed=args.seed,
-            checkpoint_dir=args.checkpoint_dir,
-            phase_timeout=args.phase_timeout,
-            backend=args.backend or "serial",
-            num_threads=args.workers if args.workers is not None else 2,
-        )
-        result = harness.run(g)
+    with Engine(canonical=False) as engine:
+        if args.resume:
+            result = engine.resume(
+                args.resume,
+                backend=args.backend,
+                num_workers=args.workers,
+                phase_timeout=args.phase_timeout,
+            )
+        else:
+            g, label = _load_graph(args)
+            print(f"graph {label}: {g.num_nodes} nodes, {g.num_edges} edges")
+            result = engine.run(
+                g,
+                method=args.method,
+                seed=args.seed,
+                backend=args.backend or "serial",
+                num_workers=args.workers if args.workers is not None else 2,
+                checkpoint_dir=args.checkpoint_dir,
+                phase_timeout=args.phase_timeout,
+            )
 
-    report = harness.report
-    print(f"method: {report.method}")
-    if report.resumed_from:
-        picked_up = report.resumed_phase or "complete (verified only)"
-        print(f"resumed from: {report.resumed_from}")
-        print(f"picked up at phase: {picked_up}")
-    print(f"phases run: {', '.join(report.phases_run) or '(none)'}")
-    if report.checkpoints:
-        import os
-
-        print(
-            f"checkpoints: {len(report.checkpoints)} written to "
-            f"{os.path.dirname(report.checkpoints[-1])}"
-        )
-    if report.degradations:
-        print(
-            f"backend degraded {report.degradations}x "
-            f"-> {report.degraded_to}"
-        )
-    gate = (
+    report = result.lifecycle
+    if report is None:
+        # Engine.run gates only lifecycle runs, which keeps the serving
+        # path lean; a plain ``repro run`` gates its result here.
+        check_complete_labels(result.labels, result.phase_of)
+    print(f"method: {result.method}")
+    if report is not None:
+        if report.resumed_from:
+            picked_up = report.resumed_phase or "complete (verified only)"
+            print(f"resumed from: {report.resumed_from}")
+            print(f"picked up at phase: {picked_up}")
+        print(f"phases run: {', '.join(report.phases_run) or '(none)'}")
+        if report.checkpoints:
+            print(
+                f"checkpoints: {len(report.checkpoints)} written to "
+                f"{os.path.dirname(report.checkpoints[-1])}"
+            )
+    print(
         "labels verified (Tarjan cross-check)"
-        if report.cross_checked
+        if report is not None and report.cross_checked
         else "labels verified"
     )
-    print(gate)
     print(f"SCCs: {result.num_sccs}")
     print(
         f"largest SCC: {result.largest_scc_size()} "
@@ -889,7 +887,11 @@ def _cmd_run(args) -> int:
     )
     if result.profile is not None:
         sim = Machine().simulate(result.profile.trace, args.threads)
-        scope = " (resumed portion)" if report.resumed_from else ""
+        scope = (
+            " (resumed portion)"
+            if report is not None and report.resumed_from
+            else ""
+        )
         print(
             f"simulated time @{args.threads} threads: "
             f"{sim.total_time:.0f} edge-units{scope}"

@@ -81,9 +81,13 @@ def strongly_connected_components(
         "scan" (colour array only — the ~10x-slower ablation).
         ``queue_k`` (int): work-queue batch size (paper: 1 for
         baseline/method1, 8 for method2).
-        ``backend`` (str): "serial" (default), "threads" (real
-        two-level work queue; correct but GIL-bound), or "processes"
-        (GIL-free workers over shared memory; POSIX only).
+        ``backend`` (str): the phase-2 executor — "serial" (default;
+        the deterministic worklist) or "supervised" (GIL-free worker
+        processes over shared memory with per-task timeouts, retry
+        and a serial fallback; POSIX fork, serial without it).
+        ``num_threads`` sets its worker count and ``supervisor`` (a
+        :class:`~repro.runtime.supervisor.SupervisorConfig`) its
+        budgets.
         ``bfs_kernel`` (str): "level" (paper) or "dobfs"
         (direction-optimizing forward pass) for methods 1/2.
         ``cost`` (CostModel): work-unit accounting constants.

@@ -9,9 +9,9 @@ seeded by a scan of the surviving colour partitions (Section 4.2's
 deferred set construction).
 
 The pipeline is defined once, as a phase plan (:mod:`repro.core.phases`):
-:func:`method1_scc` runs it straight through, while the checkpointing
-run harness (:mod:`repro.runtime.lifecycle`) runs the same plan with
-persistence at every phase boundary.
+:func:`method1_scc` runs it straight through, while
+:meth:`repro.engine.Engine.run` runs the same plan with optional
+checkpoints at every phase boundary.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def method1_phases(
             ctx["queue"],
             queue_k=queue_k,
             pivot_strategy=pivot_strategy,
-            backend=ctx.get("backend", backend),
+            backend=backend,
             num_threads=num_threads,
             supervisor=supervisor,
             deadline=ctx.get("deadline"),
@@ -83,7 +83,7 @@ def method1_phases(
         PhaseSpec("par_fwbw", "par_fwbw", fwbw),
         PhaseSpec("par_trim_2", "par_trim", trim),
         PhaseSpec("collect_queue", "recur_fwbw", collect),
-        PhaseSpec("recur_fwbw", "recur_fwbw", recur, uses_backend=True),
+        PhaseSpec("recur_fwbw", "recur_fwbw", recur),
     ]
 
 

@@ -8,7 +8,7 @@ K = 8 — Method 2 generates enough task parallelism that larger fetch
 batches pay off (Section 4.3).
 
 Like Method 1, the pipeline is a phase plan (:mod:`repro.core.phases`)
-shared between the plain runner and the checkpointing run harness.
+shared between the plain runner and :meth:`repro.engine.Engine.run`.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def method2_phases(
             ctx["queue"],
             queue_k=queue_k,
             pivot_strategy=pivot_strategy,
-            backend=ctx.get("backend", backend),
+            backend=backend,
             num_threads=num_threads,
             supervisor=supervisor,
             deadline=ctx.get("deadline"),
@@ -101,9 +101,7 @@ def method2_phases(
         plan.append(PhaseSpec("par_trim2", "par_trim2", trim2))
         plan.append(PhaseSpec("par_trim_3", "par_trim", trim))
     plan.append(PhaseSpec("par_wcc", "par_wcc", wcc))
-    plan.append(
-        PhaseSpec("recur_fwbw", "recur_fwbw", recur, uses_backend=True)
-    )
+    plan.append(PhaseSpec("recur_fwbw", "recur_fwbw", recur))
     return plan
 
 

@@ -2,11 +2,12 @@
 
 Both paper pipelines are straight-line sequences of phases over one
 :class:`~repro.core.state.SCCState`.  Expressing them as a list of
-:class:`PhaseSpec` (instead of inline calls) gives the run-lifecycle
-layer (:mod:`repro.runtime.lifecycle`) the boundaries it needs: a
-checkpoint can be written after any phase, a resumed run re-enters at
-the first incomplete phase, and a per-phase deadline or backend
-degradation applies to exactly one phase.
+:class:`PhaseSpec` (instead of inline calls) gives
+:meth:`repro.engine.Engine.run` the boundaries it wraps: a deadline
+check, an integrity seal or a checkpoint (:mod:`repro.runtime.
+lifecycle`) can sit at any phase boundary, a resumed run re-enters at
+the first incomplete phase, and a per-phase timeout bounds exactly one
+phase.
 
 The plain runners (:func:`repro.core.method1.method1_scc`, ...) iterate
 the same plan with no checkpointing, so there is exactly one definition
@@ -14,11 +15,10 @@ of each pipeline.
 
 Phases communicate through a ``ctx`` mapping.  The only cross-phase
 payload today is ``ctx["queue"]`` — the phase-2 work items, a list of
-``(color, nodes-or-None)`` pairs — which the lifecycle layer serializes
-into checkpoints.  Executors read two optional overrides:
-``ctx["backend"]`` (set by the harness when degrading a failing
-backend) and ``ctx["deadline"]`` (an absolute ``time.monotonic()``
-bound forwarded to deadline-aware executors).
+``(color, nodes-or-None)`` pairs — which checkpoints serialize.  The
+phase-2 executors also read ``ctx["deadline"]`` (an absolute
+``time.monotonic()`` bound) and ``ctx["session"]`` (the warm session
+whose pool they reuse).
 """
 
 from __future__ import annotations
@@ -38,15 +38,12 @@ class PhaseSpec:
     ``name`` is unique within a plan (checkpoint identity); ``timer``
     is the wall-timer / trace label, shared by repeated phases (both
     trims accumulate under ``"par_trim"``, exactly as the inline
-    pipelines did).  ``uses_backend`` marks the phase whose executor
-    can fail independently of the algorithm (the phase-2 worker pool)
-    and is therefore eligible for backend degradation.
+    pipelines did).
     """
 
     name: str
     timer: str
     fn: Callable[[SCCState, MutableMapping], None]
-    uses_backend: bool = False
 
 
 def run_plan(
@@ -54,9 +51,9 @@ def run_plan(
     plan: Sequence[PhaseSpec],
     ctx: MutableMapping | None = None,
 ) -> MutableMapping:
-    """Execute ``plan`` in order with per-phase wall timers (no
-    checkpointing — the lifecycle harness wraps this with its own
-    loop).  Returns the final ``ctx``."""
+    """Execute ``plan`` in order with per-phase wall timers; the
+    engine's wrappers (deadline, integrity, checkpoints) ride inside
+    each phase's ``fn``.  Returns the final ``ctx``."""
     ctx = {} if ctx is None else ctx
     for ph in plan:
         with state.profile.wall_timer(ph.timer):

@@ -16,12 +16,12 @@ Partition representation (Section 4.1's hybrid scheme):
   hybrid approach is ~10x faster; ``bench_ablation_hybrid_repr.py``
   reproduces that gap from the recorded work.
 
-Four executors can drain the phase — serial worklist (default; used
-for trace collection), the real threaded two-level work queue, and the
-plain/supervised process pools — all resolved through the one backend
-registry in :mod:`repro.engine.backends`.  Every executor records the
-task spawn tree into the trace so the simulated scheduler can replay
-it at any thread count.
+Two executors drain the phase — the serial worklist (default; used
+for trace collection) and the supervised process pool — resolved
+through :mod:`repro.engine.backends`.  Both record the task spawn tree
+into the trace so the simulated scheduler can replay it at any thread
+count, and both group the queue with the one batch planner,
+:func:`plan_batches`.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ class WorkItem:
     color: int
     nodes: Optional[np.ndarray]  # None => scan representation
     parent: int = -1
+    #: failed attempts so far (the supervised executor's retries).
+    attempt: int = 0
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,15 @@ def resolve_batch_policy(
 
 
 def _item_batchable(item: WorkItem, policy: Phase2BatchPolicy) -> bool:
-    return item.nodes is not None and (
-        policy.max_item_nodes is None
-        or item.nodes.size <= policy.max_item_nodes
+    # A retried item always runs alone, which keeps the supervisor's
+    # per-task damage confinement (repair_partition) simple.
+    return (
+        item.attempt == 0
+        and item.nodes is not None
+        and (
+            policy.max_item_nodes is None
+            or item.nodes.size <= policy.max_item_nodes
+        )
     )
 
 
@@ -128,14 +136,17 @@ def plan_batches(
 ) -> List[Union[WorkItem, List[WorkItem]]]:
     """Group a queue segment into batch runs and per-pivot singles.
 
-    Consecutive batchable items form runs of at most ``policy.width``;
-    runs shorter than ``policy.min_run`` degrade to singles.  A run
-    also breaks on a repeated partition colour — the batch task
-    requires pairwise-distinct colours (each wave owns its colour), and
-    while the queue invariant guarantees that, the planner enforces it
-    so a hand-built queue cannot silently corrupt a batch.  Entry order
-    (and within a run, item order) is queue order, which is what keeps
-    the batched serial drain bit-identical to the per-pivot one.
+    Consecutive batchable items (hybrid, first attempt, at most
+    ``policy.max_item_nodes`` nodes) form runs of at most
+    ``policy.width``; runs shorter than ``policy.min_run`` degrade to
+    singles.  A run also breaks on a repeated partition colour — the
+    batch task requires pairwise-distinct colours (each wave owns its
+    colour), and while the queue invariant guarantees that, the
+    planner enforces it so a hand-built queue cannot silently corrupt
+    a batch.  Entry order (and within a run, item order) is queue
+    order, which is what keeps a batched drain bit-identical to the
+    per-pivot one.  Without a policy the items pass through as
+    singles.
     """
     entries: List[Union[WorkItem, List[WorkItem]]] = []
     run: List[WorkItem] = []
@@ -145,7 +156,7 @@ def plan_batches(
         nonlocal run, run_colors
         if not run:
             return
-        if len(run) >= (policy.min_run if policy else 2):
+        if len(run) >= policy.min_run:
             entries.append(run)
         else:
             entries.extend(run)
@@ -470,19 +481,17 @@ def run_recur_phase(
     The spawn tree (with per-task costs) is recorded as a
     :class:`~repro.runtime.trace.TaskDAGRecord` for the simulator.
 
-    The executor is resolved through the one backend registry
-    (:func:`repro.engine.backends.get_executor`); see that module for
-    the serial / threads / processes / supervised semantics and each
-    backend's capability flags.  ``supervisor`` optionally carries a
-    :class:`~repro.runtime.supervisor.SupervisorConfig` for the
-    supervised backend; ``deadline`` (absolute ``time.monotonic()``
-    value) bounds the deadline-capable executors, which raise
+    ``backend`` names the executor (``"serial"`` or ``"supervised"``;
+    see :mod:`repro.engine.backends`).  ``supervisor`` optionally
+    carries a :class:`~repro.runtime.supervisor.SupervisorConfig` for
+    the supervised backend; ``deadline`` (absolute
+    ``time.monotonic()`` value) bounds both executors, which raise
     :class:`~repro.errors.PhaseTimeoutError` past it.
 
     ``session`` optionally names a warm
     :class:`~repro.engine.session.GraphSession` whose cached transpose,
-    shared-memory mirror and forked worker pool the process executors
-    reuse instead of rebuilding per run.
+    shared-memory mirror and forked worker pool the supervised
+    executor reuses instead of rebuilding per run.
 
     ``phase2_batch`` turns on the bit-parallel multi-source tail
     (``True`` for the default :class:`Phase2BatchPolicy`, or a policy
@@ -492,7 +501,7 @@ def run_recur_phase(
     # Imported lazily: repro.engine imports this module at load time.
     from ..engine.backends import get_executor
 
-    return get_executor(backend).run_phase(
+    return get_executor(backend)(
         state,
         initial,
         queue_k=queue_k,

@@ -9,13 +9,13 @@ paper reports all fall out of one ``bincount``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from ..runtime.metrics import ExecutionProfile
 
-__all__ = ["canonical_labels", "same_partition", "SCCResult"]
+__all__ = ["canonical_labels", "same_partition", "RunReport", "SCCResult"]
 
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
@@ -46,6 +46,27 @@ def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @dataclass
+class RunReport:
+    """What a checkpointed, phase-bounded or resumed pipeline run did.
+
+    Attached to :attr:`SCCResult.lifecycle` by
+    :meth:`repro.engine.Engine.run` and :meth:`repro.engine.Engine.
+    resume` once the final invariant gate has passed.
+    """
+
+    #: phases executed by this call, in plan order.
+    phases_run: List[str] = field(default_factory=list)
+    #: checkpoint files written by this call.
+    checkpoints: List[str] = field(default_factory=list)
+    #: checkpoint the run resumed from (None for a fresh run).
+    resumed_from: Optional[str] = None
+    #: first phase the resumed run executed (None: it was complete).
+    resumed_phase: Optional[str] = None
+    #: the gate also compared the labels against a Tarjan run.
+    cross_checked: bool = False
+
+
+@dataclass
 class SCCResult:
     """The outcome of one SCC-detection run."""
 
@@ -58,6 +79,8 @@ class SCCResult:
     profile: ExecutionProfile | None = None
     #: phase id per node (Figure 8); -1 when not applicable.
     phase_of: np.ndarray | None = None
+    #: lifecycle report of a checkpointed or resumed engine run.
+    lifecycle: RunReport | None = None
     _sizes: np.ndarray | None = field(default=None, repr=False)
 
     @property

@@ -10,8 +10,8 @@ even when an edge exists between them.
 :class:`SCCState` adds the reproduction's bookkeeping on top: the
 output label array, per-node phase attribution (Figure 8), the work
 trace, the execution profile, and a seeded RNG for pivot selection.
-All mutating entry points take an internal lock so the phase-2 task
-kernel can run under the real threaded work queue.
+All mutating entry points take an internal (uncontended) lock, so a
+state stays consistent if it is ever shared across threads.
 
 Invariant maintained throughout: **a marked node's colour is
 ``DONE_COLOR`` (-1)**, which no active partition ever uses, so a
@@ -37,6 +37,7 @@ __all__ = [
     "SCCState",
     "StateSnapshot",
     "StateInvariantError",
+    "check_complete_labels",
     "skip_colour_triple",
     "DONE_COLOR",
     "PHASE_TRIM",
@@ -78,11 +79,10 @@ def skip_colour_triple(
     colours at or above the allocator's watermark by hand; skipping
     costs nothing in the normal pipelines.
 
-    This is the one allocation sequence shared by every executor: the
-    serial/threads drivers call it under the state lock
-    (:meth:`SCCState.alloc_colour_triple`), workers under the shared
-    ``color_counter`` lock, and the supervisor's master loop on its
-    privately owned counter.
+    This is the one allocation sequence shared by both executors: the
+    serial driver calls it under the state lock
+    (:meth:`SCCState.alloc_colour_triple`), the supervisor's master
+    loop on its privately owned counter.
     """
     triple = []
     nxt = start
@@ -97,6 +97,28 @@ class StateInvariantError(ReproError, RuntimeError):
     """Raised when :meth:`SCCState.check_invariants` finds corruption."""
 
     exit_code = 15
+
+
+def check_complete_labels(
+    labels: np.ndarray, phase_of: np.ndarray, num_sccs: int | None = None
+) -> None:
+    """The completion half of :meth:`SCCState.check_invariants`, on a
+    finished run's arrays: every node carries an SCC label and a phase
+    attribution, and the label ids are exactly ``0 .. num_sccs-1``
+    (``num_sccs`` defaults to the number of distinct labels)."""
+    unresolved = int(np.count_nonzero(labels < 0))
+    if unresolved:
+        raise StateInvariantError(f"{unresolved} nodes still unresolved")
+    if np.any(phase_of < 0):
+        raise StateInvariantError("labelled node without phase attribution")
+    if labels.size:
+        ids = np.unique(labels)
+        k = ids.size if num_sccs is None else num_sccs
+        if ids[0] != 0 or ids[-1] != k - 1 or ids.size != k:
+            raise StateInvariantError(
+                f"label ids not dense: {ids.size} distinct ids, "
+                f"range [{ids[0]}, {ids[-1]}], num_sccs={k}"
+            )
 
 
 @dataclass(frozen=True)
@@ -410,19 +432,8 @@ class SCCState:
         if np.any(self.labels[~self.mark] >= 0):
             raise StateInvariantError("unmarked node carries an SCC label")
         if require_complete:
-            unresolved = int(np.count_nonzero(~self.mark))
-            if unresolved:
-                raise StateInvariantError(
-                    f"{unresolved} nodes still unresolved"
-                )
-            if self.num_nodes:
-                ids = np.unique(self.labels)
-                if ids[0] != 0 or ids[-1] != self._num_sccs - 1 or ids.size != self._num_sccs:
-                    raise StateInvariantError(
-                        f"label ids not dense: {ids.size} distinct ids, "
-                        f"range [{ids[0]}, {ids[-1]}], "
-                        f"num_sccs={self._num_sccs}"
-                    )
+            # marked <=> labelled by now, so the bare-array check applies
+            check_complete_labels(self.labels, self.phase_of, self._num_sccs)
         if cross_check and self.num_nodes:
             from .result import same_partition  # local: avoids a cycle
             from .tarjan import tarjan_scc

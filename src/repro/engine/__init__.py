@@ -8,9 +8,8 @@ the load-once/run-many serving surface above them:
   executors);
 * :mod:`repro.engine.pool` — the one worker-pool lifecycle (fork,
   liveness, rebuild, teardown);
-* :mod:`repro.engine.backends` — the :class:`ExecutorBackend` protocol
-  and registry (serial / threads / processes / supervised) with
-  capability flags;
+* :mod:`repro.engine.backends` — the two phase-2 drive functions
+  (serial / supervised) and the :data:`BACKEND_NAMES` registry;
 * :mod:`repro.engine.session` — :class:`GraphSession`: one graph,
   loaded once, with cached transpose/degrees/validation and a warm
   worker pool;
@@ -23,13 +22,7 @@ the load-once/run-many serving surface above them:
   batch execution behind ``repro batch``.
 """
 
-from .backends import (
-    BACKENDS,
-    BackendCapabilities,
-    ExecutorBackend,
-    backend_names,
-    get_executor,
-)
+from .backends import BACKEND_NAMES, get_executor
 from .batch import BatchJob, BatchReport, JobRecord, load_manifest, run_batch
 from .pool import WorkerPool, fork_available
 from .session import GraphSession, SessionStats, graph_fingerprint
@@ -61,10 +54,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BACKENDS",
-    "BackendCapabilities",
-    "ExecutorBackend",
-    "backend_names",
+    "BACKEND_NAMES",
     "get_executor",
     "BatchJob",
     "BatchReport",

@@ -1,363 +1,155 @@
-"""The ``ExecutorBackend`` protocol: one registry for phase-2 executors.
+"""The two phase-2 executors: ``serial`` and ``supervised``.
 
-Four executors can drain the Recur-FWBW work queue — serial worklist,
-threaded two-level queue, plain process pool, supervised process pool
-— and before this module each caller (the method pipelines, the run
-harness, the CLI, the bench harness) hand-rolled its own dispatch over
-backend-name strings.  Now there is exactly one construction path:
-:func:`get_executor` resolves a name to an :class:`ExecutorBackend`,
-and every executor advertises :class:`BackendCapabilities` so callers
-can reason about fault tolerance, deadline support and warm-pool reuse
-instead of string-matching names.
+Phase 2 drains the Recur-FWBW work queue (the paper's Sec. 4.3).  Two
+drivers do it:
 
-The serial and threaded drivers live here in full; the process-backed
-drivers delegate to :mod:`repro.runtime.mp_backend` and
-:mod:`repro.runtime.supervisor`, which in turn build on the shared
-:mod:`repro.engine.shm` / :mod:`repro.engine.pool` plumbing (no
-executor owns private shm or pool-lifecycle code anymore).
+* ``serial`` — the deterministic in-process worklist (default; the
+  trace-normative reference every other path is compared against);
+* ``supervised`` — worker processes over shared memory under the
+  fault-tolerance supervisor (:mod:`repro.runtime.supervisor`):
+  per-task timeouts, retry with colour repair, a serial fallback when
+  the pool breaks, and post-phase verification.  With
+  ``max_task_retries=0`` it is the plain process pool.
+
+Both drain the queue one generation at a time in FIFO order, so task
+indices and the recorded spawn tree match the plain worklist; both
+group a generation with the one batch planner
+(:func:`repro.core.recurfwbw.plan_batches`), and both raise
+:class:`~repro.errors.PhaseTimeoutError` once an absolute ``deadline``
+passes.  :func:`get_executor` resolves a backend name to its drive
+function; :data:`BACKEND_NAMES` lists the names (CLI choices,
+validation).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
-
-import numpy as np
+from typing import Callable, List, Optional
 
 from ..errors import PhaseTimeoutError
 
 __all__ = [
-    "BackendCapabilities",
-    "ExecutorBackend",
-    "BACKENDS",
-    "backend_names",
+    "BACKEND_NAMES",
+    "drive_serial",
+    "drive_supervised",
     "get_executor",
-    "SerialBackend",
-    "ThreadsBackend",
-    "ProcessesBackend",
-    "SupervisedBackend",
 ]
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What an executor can promise its callers."""
+def drive_serial(
+    state,
+    initial,
+    *,
+    queue_k: int = 1,
+    phase: str = "recur_fwbw",
+    pivot_strategy: str = "random",
+    num_workers: int = 1,
+    supervisor=None,
+    deadline: Optional[float] = None,
+    session=None,
+    phase2_batch=None,
+) -> int:
+    """Drain the queue in-process; returns the number of tasks run.
 
-    #: survives worker death / task hangs (retry + degradation).
-    fault_tolerant: bool = False
-    #: honours a cooperative ``deadline`` (absolute monotonic bound).
-    deadline: bool = False
-    #: runs tasks in separate processes (GIL-free).
-    processes: bool = False
-    #: can reuse a :class:`~repro.engine.session.GraphSession`'s warm
-    #: pool + shared mirror across runs.
-    warm_pool: bool = False
+    ``phase2_batch`` is a resolved
+    :class:`~repro.core.recurfwbw.Phase2BatchPolicy` (or None =
+    per-pivot only); batched runs are bit-identical to the per-pivot
+    drain.  ``num_workers``, ``supervisor`` and ``session`` are
+    accepted for a uniform driver signature and ignored.
+    """
+    from ..core.recurfwbw import (
+        WorkItem,
+        plan_batches,
+        recur_fwbw_batch_task,
+        recur_fwbw_task,
+    )
+    from ..runtime.trace import Task
 
-
-@runtime_checkable
-class ExecutorBackend(Protocol):
-    """One way to drain the phase-2 work queue."""
-
-    name: str
-    capabilities: BackendCapabilities
-
-    def run_phase(
-        self,
-        state,
-        initial: Sequence[Tuple[int, Optional[np.ndarray]]],
-        *,
-        queue_k: int = 1,
-        phase: str = "recur_fwbw",
-        pivot_strategy: str = "random",
-        num_workers: int = 2,
-        supervisor=None,
-        deadline: Optional[float] = None,
-        session=None,
-        phase2_batch=None,
-    ) -> int:
-        """Drain the queue; returns the number of tasks executed.
-
-        ``phase2_batch`` is a resolved
-        :class:`~repro.core.recurfwbw.Phase2BatchPolicy` (or None =
-        per-pivot only): when set, small-task storms are drained in
-        ≤64-pivot multi-source batches, bit-identically to the
-        per-pivot path.
-        """
-        ...
-
-
-class SerialBackend:
-    """The deterministic serial worklist (default; trace-normative)."""
-
-    name = "serial"
-    capabilities = BackendCapabilities(deadline=True)
-
-    def run_phase(
-        self,
-        state,
-        initial,
-        *,
-        queue_k: int = 1,
-        phase: str = "recur_fwbw",
-        pivot_strategy: str = "random",
-        num_workers: int = 2,
-        supervisor=None,
-        deadline: Optional[float] = None,
-        session=None,
-        phase2_batch=None,
-    ) -> int:
-        from ..core.recurfwbw import (
-            WorkItem,
-            _item_batchable,
-            recur_fwbw_batch_task,
-            recur_fwbw_task,
-        )
-        from ..runtime.trace import Task
-
-        policy = phase2_batch
-        start = time.monotonic()
-        queue: deque = deque(
-            WorkItem(color=c, nodes=nd) for c, nd in initial
-        )
-        tasks: List[Task] = []
-        n_batches = n_batched = 0
-
-        def finish(item, children, task_cost):
-            idx = len(tasks)
-            tasks.append(Task(cost=task_cost, parent=item.parent))
-            for ch in children:
-                ch.parent = idx
-                queue.append(ch)
-
-        while queue:
+    start = time.monotonic()
+    tasks: List[Task] = []
+    n_batches = n_batched = 0
+    # A FIFO worklist visits one generation after another, so draining
+    # generation by generation keeps every task index and spawn edge.
+    pending = [WorkItem(color=c, nodes=nd) for c, nd in initial]
+    while pending:
+        generation, pending = pending, []
+        for unit in plan_batches(generation, phase2_batch):
             if deadline is not None and time.monotonic() >= deadline:
                 raise PhaseTimeoutError(phase, time.monotonic() - start)
-            item = queue.popleft()
-            if policy is not None and _item_batchable(item, policy):
-                # Greedily extend the run with the consecutive
-                # batchable queue prefix.  Popping the run up front and
-                # appending all children afterwards preserves the exact
-                # per-pivot FIFO order: the run's items were contiguous
-                # at the head, so their children land behind the
-                # remaining queue in both drains.
-                run = [item]
-                colors = {item.color}
-                while (
-                    queue
-                    and len(run) < policy.width
-                    and _item_batchable(queue[0], policy)
-                    and queue[0].color not in colors
-                ):
-                    nxt = queue.popleft()
-                    run.append(nxt)
-                    colors.add(nxt.color)
-                if len(run) >= policy.min_run:
-                    results = recur_fwbw_batch_task(
-                        state, run, pivot_strategy=pivot_strategy
-                    )
-                    for it, (children, task_cost) in zip(run, results):
-                        finish(it, children, task_cost)
-                    n_batches += 1
-                    n_batched += len(run)
-                else:
-                    for it in run:
-                        children, task_cost = recur_fwbw_task(
-                            state, it, pivot_strategy=pivot_strategy
-                        )
-                        finish(it, children, task_cost)
-                continue
-            children, task_cost = recur_fwbw_task(
-                state, item, pivot_strategy=pivot_strategy
-            )
-            finish(item, children, task_cost)
-        state.trace.task_dag(phase, tasks, queue_k=queue_k)
-        state.profile.bump("recur_tasks", len(tasks))
-        if n_batches:
-            state.profile.bump("phase2_batches", n_batches)
-            state.profile.bump("phase2_batched_tasks", n_batched)
-        return len(tasks)
-
-
-class ThreadsBackend:
-    """The real two-level work queue (correctness path; GIL-bound)."""
-
-    name = "threads"
-    capabilities = BackendCapabilities(deadline=True)
-
-    def run_phase(
-        self,
-        state,
-        initial,
-        *,
-        queue_k: int = 1,
-        phase: str = "recur_fwbw",
-        pivot_strategy: str = "random",
-        num_workers: int = 2,
-        supervisor=None,
-        deadline: Optional[float] = None,
-        session=None,
-        phase2_batch=None,
-    ) -> int:
-        import threading
-
-        from ..core.recurfwbw import (
-            WorkItem,
-            plan_batches,
-            recur_fwbw_batch_task,
-            recur_fwbw_task,
-        )
-        from ..runtime.trace import Task
-        from ..runtime.workqueue import TwoLevelWorkQueue
-
-        policy = phase2_batch
-        items = [WorkItem(color=c, nodes=nd) for c, nd in initial]
-        tasks: List[Task] = []
-        lock = threading.Lock()
-        stats = {"batches": 0, "batched": 0}
-
-        def process(entry):
-            # Queue entries are single WorkItems or planned batch runs
-            # (lists); spawned children are re-planned the same way.
-            if isinstance(entry, list):
+            if isinstance(unit, list):
+                members = unit
                 results = recur_fwbw_batch_task(
-                    state, entry, pivot_strategy=pivot_strategy
+                    state, members, pivot_strategy=pivot_strategy
                 )
-                spawned: List = []
-                with lock:
-                    for it, (children, task_cost) in zip(entry, results):
-                        idx = len(tasks)
-                        tasks.append(
-                            Task(cost=task_cost, parent=it.parent)
-                        )
-                        for ch in children:
-                            ch.parent = idx
-                        spawned.extend(children)
-                    stats["batches"] += 1
-                    stats["batched"] += len(entry)
-                return plan_batches(spawned, policy)
-            children, task_cost = recur_fwbw_task(
-                state, entry, pivot_strategy=pivot_strategy
-            )
-            with lock:
+                n_batches += 1
+                n_batched += len(members)
+            else:
+                members = [unit]
+                results = [
+                    recur_fwbw_task(
+                        state, unit, pivot_strategy=pivot_strategy
+                    )
+                ]
+            for item, (children, task_cost) in zip(members, results):
                 idx = len(tasks)
-                tasks.append(Task(cost=task_cost, parent=entry.parent))
-            for ch in children:
-                ch.parent = idx
-            return (
-                plan_batches(children, policy)
-                if policy is not None
-                else children
-            )
-
-        TwoLevelWorkQueue(num_workers, k=queue_k).run(
-            plan_batches(items, policy) if policy is not None else items,
-            process,
-            deadline=deadline,
-            phase=phase,
-        )
-        state.trace.task_dag(phase, tasks, queue_k=queue_k)
-        state.profile.bump("recur_tasks", len(tasks))
-        if stats["batches"]:
-            state.profile.bump("phase2_batches", stats["batches"])
-            state.profile.bump("phase2_batched_tasks", stats["batched"])
-        return len(tasks)
+                tasks.append(Task(cost=task_cost, parent=item.parent))
+                for ch in children:
+                    ch.parent = idx
+                pending.extend(children)
+    state.trace.task_dag(phase, tasks, queue_k=queue_k)
+    state.profile.bump("recur_tasks", len(tasks))
+    if n_batches:
+        state.profile.bump("phase2_batches", n_batches)
+        state.profile.bump("phase2_batched_tasks", n_batched)
+    return len(tasks)
 
 
-class ProcessesBackend:
-    """GIL-free worker processes over shared memory (POSIX only)."""
+def drive_supervised(
+    state,
+    initial,
+    *,
+    queue_k: int = 1,
+    phase: str = "recur_fwbw",
+    pivot_strategy: str = "random",
+    num_workers: int = 2,
+    supervisor=None,
+    deadline: Optional[float] = None,
+    session=None,
+    phase2_batch=None,
+) -> int:
+    """Drain the queue on supervised worker processes (POSIX fork;
+    falls back to the serial driver without it).  ``supervisor`` is a
+    :class:`~repro.runtime.supervisor.SupervisorConfig`; ``session`` a
+    warm :class:`~repro.engine.session.GraphSession` whose mirror and
+    pool are reused."""
+    from ..runtime.supervisor import run_supervised_recur_phase
 
-    name = "processes"
-    capabilities = BackendCapabilities(processes=True, warm_pool=True)
-
-    def run_phase(
-        self,
+    report = run_supervised_recur_phase(
         state,
         initial,
-        *,
-        queue_k: int = 1,
-        phase: str = "recur_fwbw",
-        pivot_strategy: str = "random",
-        num_workers: int = 2,
-        supervisor=None,
-        deadline: Optional[float] = None,
-        session=None,
-        phase2_batch=None,
-    ) -> int:
-        from ..runtime.mp_backend import run_recur_phase_processes
-
-        return run_recur_phase_processes(
-            state,
-            initial,
-            num_workers=num_workers,
-            queue_k=queue_k,
-            phase=phase,
-            session=session,
-            phase2_batch=phase2_batch,
-        )
-
-
-class SupervisedBackend:
-    """The process backend under the fault-tolerance supervisor."""
-
-    name = "supervised"
-    capabilities = BackendCapabilities(
-        fault_tolerant=True, deadline=True, processes=True, warm_pool=True
+        num_workers=num_workers,
+        queue_k=queue_k,
+        phase=phase,
+        pivot_strategy=pivot_strategy,
+        config=supervisor,
+        session=session,
+        phase2_batch=phase2_batch,
+        deadline=deadline,
     )
-
-    def run_phase(
-        self,
-        state,
-        initial,
-        *,
-        queue_k: int = 1,
-        phase: str = "recur_fwbw",
-        pivot_strategy: str = "random",
-        num_workers: int = 2,
-        supervisor=None,
-        deadline: Optional[float] = None,
-        session=None,
-        phase2_batch=None,
-    ) -> int:
-        from ..runtime.supervisor import run_supervised_recur_phase
-
-        report = run_supervised_recur_phase(
-            state,
-            initial,
-            num_workers=num_workers,
-            queue_k=queue_k,
-            phase=phase,
-            pivot_strategy=pivot_strategy,
-            config=supervisor,
-            session=session,
-            phase2_batch=phase2_batch,
-        )
-        return report.tasks
+    return report.tasks
 
 
-#: the one backend registry; every executor construction goes through it.
-BACKENDS: Dict[str, ExecutorBackend] = {
-    b.name: b
-    for b in (
-        SerialBackend(),
-        ThreadsBackend(),
-        ProcessesBackend(),
-        SupervisedBackend(),
-    )
-}
+_DRIVERS = {"serial": drive_serial, "supervised": drive_supervised}
+
+#: the executor names, registration order.
+BACKEND_NAMES = tuple(_DRIVERS)
 
 
-def backend_names() -> Tuple[str, ...]:
-    """Registered executor names, registration order."""
-    return tuple(BACKENDS)
-
-
-def get_executor(name: str) -> ExecutorBackend:
-    """Resolve a backend name (the single executor-construction path)."""
+def get_executor(name: str) -> Callable[..., int]:
+    """Resolve a backend name to its drive function."""
     try:
-        return BACKENDS[name]
+        return _DRIVERS[name]
     except KeyError:
         raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
+            f"unknown backend {name!r}; choose from {list(BACKEND_NAMES)}"
         ) from None

@@ -39,15 +39,57 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from ..errors import ReproError, ServiceOverloadError, exit_code_for
+from ..errors import (
+    PhaseTimeoutError,
+    ReproError,
+    ServiceOverloadError,
+    exit_code_for,
+)
 
 __all__ = [
     "BatchJob",
     "JobRecord",
     "BatchReport",
     "load_manifest",
+    "phase_deadline",
     "run_batch",
 ]
+
+
+@contextmanager
+def phase_deadline(seconds: Optional[float], phase: str):
+    """SIGALRM watchdog bounding one unit of work (same machinery as
+    the test suite's deadlock guard); raises
+    :class:`~repro.errors.PhaseTimeoutError` labelled ``phase`` on
+    expiry.  Bounds one batch job here and one pipeline phase under
+    :meth:`Engine.run`'s ``phase_timeout``.  No-op when unavailable
+    (non-POSIX or a non-main thread) — the cooperative
+    ``ctx['deadline']`` bound still covers the phase-2 executors
+    there."""
+    if (
+        not seconds
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    def _timed_out(signum, frame):
+        raise PhaseTimeoutError(phase, seconds)
+
+    old_handler = signal.signal(signal.SIGALRM, _timed_out)
+    outer, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    started = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+        if outer:
+            # an enclosing watchdog kept counting meanwhile: re-arm it
+            # with what is left (at once if it expired in here).
+            left = outer - (time.monotonic() - started)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3), interval)
 
 
 @dataclass(frozen=True)
@@ -57,7 +99,8 @@ class BatchJob:
     ``graph`` is a surrogate dataset name or an edge-list path (the
     engine deduplicates sessions by source and by fingerprint, so
     repeating a graph across jobs costs one load).  ``options`` carries
-    extra method keywords (``queue_k``, ``pivot_strategy``, ...).
+    extra method keywords (``queue_k``, ``pivot_strategy``, ...); a key
+    that is not one fails the job with ``ValueError`` before it runs.
     """
 
     graph: str
@@ -324,8 +367,6 @@ def run_batch(
                         attempt=attempt,
                         thread_site=True,
                     )
-                from ..runtime.lifecycle import phase_deadline
-
                 with phase_deadline(_job.timeout, f"job[{_index}]"):
                     return _run_job(
                         engine,
@@ -391,7 +432,9 @@ def _run_job(
     from ..errors import IntegrityError
     from ..runtime.faults import FaultPlan, apply_corruption
     from ..runtime.supervisor import SupervisorConfig
+    from .engine import check_method_options
 
+    check_method_options(job.method, job.options)
     session = engine.load(
         job.graph, scale=job.scale, seed=None, on_error=job.on_error
     )

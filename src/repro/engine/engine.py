@@ -4,12 +4,14 @@
 north star asks for.  It owns a cache of :class:`~repro.engine.session.
 GraphSession` objects keyed by graph fingerprint (and by load source,
 so a manifest that names the same graph twice never reloads it),
-resolves executors through the one :mod:`repro.engine.backends`
-registry, and exposes:
+resolves executors through :mod:`repro.engine.backends`, and
+exposes:
 
 * :meth:`Engine.run` — one SCC detection over a warm session,
   returning the library's existing :class:`~repro.core.result.
-  SCCResult`;
+  SCCResult`; with ``checkpoint_dir`` / ``phase_timeout`` the paper
+  pipelines also publish phase-boundary checkpoints and bound every
+  phase, and :meth:`Engine.resume` finishes such a run after a crash;
 * :meth:`Engine.run_many` — a manifest of jobs executed over warm
   sessions with per-job error isolation (see :mod:`repro.engine.
   batch`), the ``repro batch`` CLI's engine.
@@ -32,17 +34,61 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.result import SCCResult, canonical_labels
+from ..core.result import RunReport, SCCResult, canonical_labels
 from ..graph import CSRGraph
 from ..ioutil import crc32_chunks
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from .backends import get_executor
 from .session import GraphSession, graph_fingerprint
 
-__all__ = ["Engine", "UpdateReport"]
+__all__ = ["Engine", "UpdateReport", "check_method_options"]
 
 #: methods that accept neither seed nor backend options.
 _SEQUENTIAL = ("tarjan", "kosaraju", "gabow")
+
+
+def _phase_factory(method: str):
+    """The phase-plan factory of a paper pipeline; None for the rest."""
+    from ..core.method1 import method1_phases
+    from ..core.method2 import method2_phases
+
+    return {"method1": method1_phases, "method2": method2_phases}.get(method)
+
+
+def check_method_options(method: str, options) -> None:
+    """Refuse an outside ``options`` dict (a serve request's, a batch
+    job's) naming anything but ``method``'s own keywords.
+
+    Such a dict is spread into :meth:`Engine.run`, whose run-level
+    parameters (``checkpoint_dir`` writes files, ``phase_timeout`` arms
+    SIGALRM, ``deadline``, ...) are the caller's, not a client's.
+    Raises ``ValueError`` (a permanent failure).
+    """
+    import inspect
+
+    from ..core.api import METHODS
+
+    if not options:
+        return
+    if not isinstance(options, dict):
+        raise ValueError("options must be a mapping of method keywords")
+    fn = _phase_factory(method) or METHODS.get(method)
+    if fn is None:
+        raise ValueError(
+            f"unknown method {method!r}; choose from {sorted(METHODS)}"
+        )
+    # the executor keywords Engine.run sets from its own parameters
+    known = {
+        p.name
+        for p in inspect.signature(fn).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    } - {"backend", "num_threads", "supervisor", "seed", "cost"}
+    unknown = sorted(set(options) - known)
+    if unknown:
+        raise ValueError(
+            f"option(s) {unknown} are not {method!r} options; "
+            f"known: {sorted(known)}"
+        )
 
 
 def _bound_plan(plan, expiry: float, budget: float):
@@ -51,8 +97,8 @@ def _bound_plan(plan, expiry: float, budget: float):
     The check runs at phase *entry* — cooperative, thread-safe, no
     signals — so a run whose earlier phases consumed the budget fails
     typed before starting the next phase instead of overshooting by a
-    whole phase.  In-phase enforcement comes from the deadline-aware
-    phase-2 executors via ``ctx["deadline"]``.
+    whole phase.  In-phase enforcement comes from the phase-2
+    executors via ``ctx["deadline"]``.
     """
     import dataclasses
 
@@ -69,6 +115,71 @@ def _bound_plan(plan, expiry: float, budget: float):
         return dataclasses.replace(ph, fn=fn)
 
     return [bound(ph) for ph in plan]
+
+
+def _has_control_faults(fault_plan) -> bool:
+    """True when ``fault_plan`` arms crash/hang/raise at phase sites."""
+    return fault_plan is not None and any(
+        s.site == "phase" and s.kind != "corrupt" for s in fault_plan.specs
+    )
+
+
+def _lifecycle_plan(
+    plan,
+    report,
+    *,
+    checkpoint_dir,
+    phase_timeout,
+    fault_plan,
+    expiry,
+    meta,
+):
+    """Wrap every phase with the run-lifecycle duties.
+
+    Per phase, in order: the ``"phase"``-site control faults of
+    ``fault_plan`` fire at ``"pre"``; the phase runs under a SIGALRM
+    watchdog of ``phase_timeout`` seconds, which also tightens
+    ``ctx["deadline"]`` so the phase-2 executors stop cooperatively;
+    ``"mid"`` faults fire; a CRC-sealed checkpoint is published into
+    ``checkpoint_dir`` (``meta`` holds the run-level fields); ``"post"``
+    faults fire.  Executed phases and written checkpoints are recorded
+    in ``report``.
+    """
+    import dataclasses
+
+    from ..runtime.lifecycle import write_checkpoint
+    from .batch import phase_deadline
+
+    def fire(index, stage):
+        if fault_plan is not None:
+            fault_plan.fire("phase", index, stage=stage)
+
+    def wrap(i, ph):
+        inner = ph.fn
+
+        def fn(st, ctx, _inner=inner, _i=i, _name=ph.name):
+            fire(_i, "pre")
+            if phase_timeout is not None:
+                bound = time.monotonic() + phase_timeout
+                ctx["deadline"] = (
+                    bound if expiry is None else min(expiry, bound)
+                )
+            with phase_deadline(phase_timeout, _name):
+                _inner(st, ctx)
+            report.phases_run.append(_name)
+            fire(_i, "mid")
+            if checkpoint_dir is not None:
+                with st.profile.wall_timer("checkpoint"):
+                    path = write_checkpoint(
+                        checkpoint_dir, _i, st, ctx.get("queue"), meta
+                    )
+                report.checkpoints.append(path)
+                st.profile.bump("lifecycle_checkpoints")
+            fire(_i, "post")
+
+        return dataclasses.replace(ph, fn=fn)
+
+    return [wrap(i, ph) for i, ph in enumerate(plan)]
 
 
 def _method2_labels(g: CSRGraph) -> np.ndarray:
@@ -121,10 +232,10 @@ class Engine:
     Parameters
     ----------
     backend:
-        Default phase-2 executor name (see
-        :func:`repro.engine.backends.backend_names`).
+        Default phase-2 executor name (``"serial"`` or
+        ``"supervised"``; :data:`repro.engine.backends.BACKEND_NAMES`).
     num_workers:
-        Default worker count for the non-serial executors.
+        Default worker count for the supervised executor.
     cost:
         Cost model attached to new sessions (overridable per run).
     canonical:
@@ -346,6 +457,8 @@ class Engine:
         canonical: bool | None = None,
         deadline: float | None = None,
         fault_plan=None,
+        checkpoint_dir: str | os.PathLike | None = None,
+        phase_timeout: float | None = None,
         **method_kwargs,
     ) -> SCCResult:
         """One SCC detection over a (warm) session.
@@ -356,19 +469,162 @@ class Engine:
         transpose, shared mirror, persistent worker pool), everything
         else reuses the cached graph.  ``deadline`` bounds the run in
         wall-clock seconds: for the pipelines it is checked at every
-        phase boundary and threaded into the deadline-aware phase-2
-        executors (cooperative — safe from any thread); expiry raises
+        phase boundary and threaded into the phase-2 executors
+        (cooperative — safe from any thread); expiry raises
         :class:`~repro.errors.PhaseTimeoutError`.  ``fault_plan`` arms
-        ``corrupt``-kind faults at the ``"phase"`` site for the
-        pipelines — seeded bit flips driven into warm arrays at exact
-        phase boundaries, the silent-data-corruption drill the
-        integrity sidecars must catch.  Remaining keywords flow to the
-        method (``queue_k``, ``pivot_strategy``, ...).
+        faults at the ``"phase"`` site for the pipelines: ``corrupt``
+        specs drive seeded bit flips into warm arrays at exact phase
+        boundaries (the silent-data-corruption drill the integrity
+        sidecars must catch), crash/hang/raise specs fire at phase
+        entry (``pre``), completion (``mid``) or after the checkpoint
+        (``post``).  Remaining keywords flow to the method
+        (``queue_k``, ``pivot_strategy``, ...).
+
+        The run lifecycle (pipelines only):
+
+        * ``checkpoint_dir`` — persist the input graph once and an
+          atomic, CRC-checked checkpoint after every phase (format:
+          :mod:`repro.runtime.lifecycle`); :meth:`resume` finishes an
+          interrupted run bit-identically;
+        * ``phase_timeout`` — bound every phase by a SIGALRM watchdog
+          (main thread) plus the cooperative phase-2 deadline; a
+          wedged phase raises :class:`~repro.errors.PhaseTimeoutError`.
+
+        Such a run — and one armed with phase-site control faults —
+        ends with the full invariant gate
+        (:meth:`~repro.core.state.SCCState.check_invariants`),
+        cross-checked against Tarjan when faults were armed, and
+        reports on ``result.lifecycle``.
         """
+        return self._execute(
+            self.session(target),
+            None,
+            method=method,
+            backend=backend,
+            num_workers=num_workers,
+            seed=seed,
+            cost=cost,
+            supervisor=supervisor,
+            canonical=canonical,
+            deadline=deadline,
+            fault_plan=fault_plan,
+            checkpoint_dir=checkpoint_dir,
+            phase_timeout=phase_timeout,
+            **method_kwargs,
+        )
+
+    def resume(
+        self,
+        checkpoint: str | os.PathLike,
+        target: Union[CSRGraph, GraphSession, None] = None,
+        *,
+        backend: str | None = None,
+        num_workers: int | None = None,
+        phase_timeout: float | None = None,
+    ) -> SCCResult:
+        """Finish a checkpointed pipeline run at its first incomplete
+        phase.
+
+        ``checkpoint`` is a checkpoint file or directory; the newest
+        checkpoint that verifies is used (a torn or bit-rotted one is
+        skipped).  With ``target=None`` the input graph is reloaded
+        from the ``graph.npz`` persisted beside it; a given graph or
+        session must match the checkpoint's CRC fingerprint (and, for
+        a mutable session, its graph version) — resuming against
+        different data is refused, not silently wrong.  State, queue
+        and pivot RNG are restored, so the labels are bit-identical to
+        an uninterrupted run on the serial driver.  The recorded
+        configuration (method, seed, executor, budgets, method
+        options) is reused; ``backend``, ``num_workers`` and
+        ``phase_timeout`` override it.  Later checkpoints land in the
+        same directory, and the final gate always cross-checks the
+        labels against Tarjan.
+        """
+        from ..errors import CheckpointError
+        from ..graph import load_npz
+        from ..runtime.lifecycle import (
+            GRAPH_FILENAME,
+            latest_checkpoint,
+            run_config,
+        )
+
         self._check_open()
+        path, arrays, meta = latest_checkpoint(checkpoint)
+        directory = os.path.dirname(path)
+        if target is None:
+            gpath = os.path.join(directory, GRAPH_FILENAME)
+            if not os.path.exists(gpath):
+                raise CheckpointError(
+                    f"no {GRAPH_FILENAME} beside the checkpoint; pass "
+                    "the input graph explicitly",
+                    path=path,
+                )
+            target = load_npz(gpath)
+        session = self.session(target)
+        # Compare the arrays actually resumed against, not the session's
+        # base fingerprint: a mutable session serves a merged snapshot
+        # whose CRC diverges from the frozen base once an update lands.
+        if graph_fingerprint(session.graph) != meta["graph_crc"]:
+            raise CheckpointError(
+                "input graph does not match the checkpointed run "
+                "(CRC fingerprint mismatch)",
+                path=path,
+            )
+        if session.mutable and session.version != meta.get(
+            "graph_version", 0
+        ):
+            raise CheckpointError(
+                f"checkpoint was taken at graph version "
+                f"{meta.get('graph_version', 0)} but the session has "
+                f"advanced to version {session.version}; a stale "
+                "checkpoint cannot be resumed against mutated state",
+                path=path,
+            )
+        config = run_config(meta)
+        overrides = dict(
+            backend=backend, num_workers=num_workers, phase_timeout=phase_timeout
+        )
+        config.update((k, v) for k, v in overrides.items() if v is not None)
+        return self._execute(
+            session, (path, arrays, meta), checkpoint_dir=directory, **config
+        )
+
+    def _execute(
+        self,
+        session: GraphSession,
+        resume,
+        /,
+        *,
+        method: str = "method2",
+        backend: str | None = None,
+        num_workers: int | None = None,
+        seed: int | None = 0,
+        cost: CostModel | None = None,
+        supervisor=None,
+        canonical: bool | None = None,
+        deadline: float | None = None,
+        fault_plan=None,
+        checkpoint_dir=None,
+        phase_timeout: float | None = None,
+        **method_kwargs,
+    ) -> SCCResult:
+        """The body shared by :meth:`run` and :meth:`resume`.
+
+        ``resume`` (a loaded checkpoint, or None) is positional-only so
+        no keyword reaching :meth:`run` can set it.
+        """
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive")
-        session = self.session(target)
+        if phase_timeout is not None and phase_timeout <= 0:
+            raise ValueError("phase_timeout must be positive")
+        pipeline = method in ("method1", "method2")
+        if not pipeline and (
+            checkpoint_dir is not None or phase_timeout is not None
+        ):
+            raise ValueError(
+                "checkpoint_dir and phase_timeout cover the paper "
+                f"pipelines 'method1' and 'method2', not {method!r}"
+            )
         session.verify_integrity(context="session:borrow")
         backend = backend if backend is not None else self.backend
         num_workers = (
@@ -380,10 +636,11 @@ class Engine:
 
         setup_before = session.stats.setup_seconds()
         was_run = session.stats.runs > 0
-        if method in ("method1", "method2"):
+        if pipeline:
             result = self._run_plan(
                 session,
                 method,
+                resume,
                 backend=backend,
                 num_workers=num_workers,
                 seed=seed,
@@ -391,6 +648,8 @@ class Engine:
                 supervisor=supervisor,
                 deadline=deadline,
                 fault_plan=fault_plan,
+                checkpoint_dir=checkpoint_dir,
+                phase_timeout=phase_timeout,
                 **method_kwargs,
             )
         else:
@@ -499,6 +758,8 @@ class Engine:
         self,
         session: GraphSession,
         method: str,
+        resume,
+        /,
         *,
         backend: str,
         num_workers: int,
@@ -507,45 +768,131 @@ class Engine:
         supervisor,
         deadline: float | None = None,
         fault_plan=None,
+        checkpoint_dir=None,
+        phase_timeout: float | None = None,
         **method_kwargs,
     ) -> SCCResult:
-        from ..core.method1 import method1_phases
-        from ..core.method2 import method2_phases
         from ..core.phases import run_plan
         from ..core.state import SCCState
 
-        factory = {
-            "method1": method1_phases,
-            "method2": method2_phases,
-        }[method]
         session.ensure_transpose()
-        plan = factory(
+        plan = _phase_factory(method)(
             backend=backend,
             num_threads=num_workers,
             supervisor=supervisor,
             **method_kwargs,
         )
+        expiry = None if deadline is None else time.monotonic() + deadline
         ctx: dict = {"session": session}
-        if deadline is not None:
-            expiry = time.monotonic() + deadline
+        state = SCCState(session.graph, seed=seed, cost=cost)
+        start = 0
+        report = None
+        if (
+            checkpoint_dir is not None
+            or phase_timeout is not None
+            or resume is not None
+            or _has_control_faults(fault_plan)
+        ):
+            report = RunReport()
+            if resume is not None:
+                start = self._restore(state, ctx, plan, report, resume)
+            meta = None
+            if checkpoint_dir is not None:
+                meta = self._checkpoint_meta(
+                    session,
+                    plan,
+                    checkpoint_dir,
+                    fresh=resume is None,
+                    method=method,
+                    seed=seed,
+                    backend=backend,
+                    num_workers=num_workers,
+                    phase_timeout=phase_timeout,
+                    supervisor=supervisor,
+                    method_kwargs=method_kwargs,
+                )
+            plan = _lifecycle_plan(
+                plan,
+                report,
+                checkpoint_dir=checkpoint_dir,
+                phase_timeout=phase_timeout,
+                fault_plan=fault_plan,
+                expiry=expiry,
+                meta=meta,
+            )
+        if expiry is not None:
             plan = _bound_plan(plan, expiry, deadline)
             ctx["deadline"] = expiry
-        state = SCCState(session.graph, seed=seed, cost=cost)
         final_verify = None
         if session.checksums is not None or fault_plan is not None:
             plan, final_verify = self._integrity_plan(
                 plan, session, state, fault_plan
             )
-        run_plan(state, plan, ctx)
+        run_plan(state, plan[start:], ctx)
         if final_verify is not None:
             final_verify()
         state.check_done()
+        if report is not None:
+            # The lifecycle gate: full invariants, plus a Tarjan
+            # cross-check for runs that resumed or ran under faults.
+            report.cross_checked = (
+                resume is not None or fault_plan is not None
+            )
+            state.check_invariants(
+                require_complete=True, cross_check=report.cross_checked
+            )
         return SCCResult(
             labels=state.labels,
             method=method,
             profile=state.profile,
             phase_of=state.phase_of,
+            lifecycle=report,
         )
+
+    @staticmethod
+    def _restore(state, ctx, plan, report, resume) -> int:
+        """Load a checkpoint into ``state``/``ctx``; returns the index
+        of the first phase still to run."""
+        from ..errors import CheckpointError
+        from ..runtime.lifecycle import restore_state
+
+        path, arrays, meta = resume
+        names = [ph.name for ph in plan]
+        if names != list(meta["plan"]):
+            raise CheckpointError(
+                f"phase plan mismatch: checkpoint has {meta['plan']}, "
+                f"its configuration now builds {names}",
+                path=path,
+            )
+        queue = restore_state(state, arrays, meta)
+        if queue is not None:
+            ctx["queue"] = queue
+        start = int(meta["phase_index"]) + 1
+        report.resumed_from = path
+        report.resumed_phase = names[start] if start < len(names) else None
+        return start
+
+    @staticmethod
+    def _checkpoint_meta(
+        session, plan, checkpoint_dir, *, fresh, **config
+    ) -> dict:
+        """The run-level checkpoint fields; a fresh run also persists
+        the input graph beside its checkpoints."""
+        from ..graph import save_npz
+        from ..runtime.lifecycle import GRAPH_FILENAME, run_meta
+
+        meta = run_meta(  # validates the kwargs before any write
+            plan=[ph.name for ph in plan],
+            graph_crc=graph_fingerprint(session.graph),
+            graph_version=session.version,
+            **config,
+        )
+        os.makedirs(checkpoint_dir, exist_ok=True)
+        if fresh:
+            save_npz(
+                session.graph, os.path.join(checkpoint_dir, GRAPH_FILENAME)
+            )
+        return meta
 
     def _run_other(
         self,

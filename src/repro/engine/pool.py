@@ -1,6 +1,6 @@
 """Worker-pool lifecycle: the one place fork pools are constructed.
 
-Both process executors (plain and supervised) and the warm
+The supervised executor's ephemeral pools and the warm
 :class:`~repro.engine.session.GraphSession` pools share this wrapper
 around ``multiprocessing.Pool``:
 
@@ -47,7 +47,7 @@ class WorkerPool:
             raise ValueError("num_workers must be >= 1")
         if not fork_available():  # pragma: no cover - non-POSIX only
             raise RuntimeError(
-                "process backends require the 'fork' start method"
+                "the supervised backend requires the 'fork' start method"
             )
         self.num_workers = num_workers
         self._arm = arm

@@ -14,7 +14,7 @@ What a session caches:
 
 * the :class:`~repro.graph.csr.CSRGraph` itself (load once);
 * the transpose CSR (built eagerly by :meth:`warmup`, reused by every
-  backward traversal and by the process executors' pre-fork build);
+  backward traversal and by the supervised executor's pre-fork build);
 * the out/in effective-degree arrays (trim seeds);
 * the structural validation verdict (:func:`repro.graph.validate.
   validate_graph` runs at most once per session);
@@ -114,8 +114,8 @@ class GraphSession:
     Sessions are usually obtained through :meth:`repro.engine.Engine.
     session` (which deduplicates them by fingerprint); constructing one
     directly is fine for library use.  A session owns OS resources
-    (shared-memory segments, worker processes) once a process backend
-    has run — :meth:`close` releases them, and the session is a context
+    (shared-memory segments, worker processes) once the supervised
+    backend has run — :meth:`close` releases them, and the session is a context
     manager.
     """
 

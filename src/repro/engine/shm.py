@@ -1,12 +1,10 @@
-"""Shared-memory plumbing for the process executors.
+"""Shared-memory plumbing for the supervised process executor.
 
-Before this module existed, :mod:`repro.runtime.mp_backend` and
-:mod:`repro.runtime.supervisor` each owned a copy of the same three
-pieces of setup: creating shared-memory mirrors of the
-:class:`~repro.core.state.SCCState` arrays, arming the fork-inherited
-worker context, and guaranteeing the segments are unlinked on every
-exit path.  Both executors (and the warm :class:`~repro.engine.session.
-GraphSession` pools) now build on this one module.
+Three pieces of setup live here: shared-memory mirrors of the
+:class:`~repro.core.state.SCCState` arrays, the fork-inherited worker
+context, and the guarantee that segments are unlinked on every exit
+path.  The supervisor's ephemeral pools and the warm
+:class:`~repro.engine.session.GraphSession` pools both build on it.
 
 Two guarantees the helpers here uphold:
 
@@ -38,10 +36,7 @@ __all__ = [
     "disarm_worker_context",
 ]
 
-#: Fork-inherited worker context (set immediately before fork).  The
-#: historical name ``_WORKER_CTX`` is re-exported by
-#: :mod:`repro.runtime.mp_backend` for backward compatibility; both
-#: names refer to this one dict object.
+#: Fork-inherited worker context (set immediately before fork).
 WORKER_CTX: dict = {}
 
 
@@ -182,7 +177,6 @@ def arm_worker_context(
         labels=mirror.labels,
         phase_of=mirror.phase_of,
         scc_counter=mirror.scc_counter,
-        color_counter=mirror.color_counter,
         cost=cost,
         phase_id=phase_id,
         faults=faults,

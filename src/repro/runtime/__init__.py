@@ -6,9 +6,10 @@ algorithms record their parallel structure into a
 :class:`~repro.runtime.trace.WorkTrace`, and
 :class:`~repro.runtime.machine.Machine` replays the trace on a
 configurable machine model — per-socket/SMT throughput, barrier costs,
-and a discrete-event simulation of the two-level work queue.  A real
-:mod:`threading`-based work queue is also provided for executing the
-task phase concurrently (correctness path; the GIL forbids speedup).
+and a discrete-event simulation of the two-level work queue
+(:mod:`repro.runtime.scheduler`).  Phase 2 really runs on the serial
+worklist or on supervised worker processes (:mod:`repro.runtime.
+supervisor`; the GIL forbids a threaded speedup).
 """
 
 from .cost import CostModel, DEFAULT_COST_MODEL
@@ -23,10 +24,8 @@ from .trace import (
 )
 from .machine import Machine, MachineConfig, SimResult, PAPER_MACHINE
 from .scheduler import QueueStats, simulate_task_dag
-from .workqueue import TwoLevelWorkQueue, QueueTelemetry
 from .metrics import ExecutionProfile, TaskLogEntry
 from .serialize import save_trace, load_trace, trace_to_dict, trace_from_dict
-from .mp_backend import fork_available, run_recur_phase_processes
 from .faults import FaultInjected, FaultPlan, FaultSpec
 from .supervisor import (
     PoolBrokenError,
@@ -34,12 +33,7 @@ from .supervisor import (
     SupervisorReport,
     run_supervised_recur_phase,
 )
-from .lifecycle import (
-    RunHarness,
-    RunReport,
-    latest_checkpoint,
-    load_checkpoint,
-)
+from .lifecycle import latest_checkpoint, load_checkpoint
 
 __all__ = [
     "CostModel",
@@ -57,16 +51,12 @@ __all__ = [
     "PAPER_MACHINE",
     "QueueStats",
     "simulate_task_dag",
-    "TwoLevelWorkQueue",
-    "QueueTelemetry",
     "ExecutionProfile",
     "TaskLogEntry",
     "save_trace",
     "load_trace",
     "trace_to_dict",
     "trace_from_dict",
-    "fork_available",
-    "run_recur_phase_processes",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
@@ -74,8 +64,6 @@ __all__ = [
     "SupervisorConfig",
     "SupervisorReport",
     "run_supervised_recur_phase",
-    "RunHarness",
-    "RunReport",
     "latest_checkpoint",
     "load_checkpoint",
 ]

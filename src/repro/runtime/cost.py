@@ -141,7 +141,7 @@ class MemoryModel:
         num_workers: int = 0,
     ) -> float:
         """Conservative peak bytes of one run on a cold session."""
-        processes = backend in ("processes", "supervised")
+        processes = backend == "supervised"
         total = self.session_bytes(nodes, edges, processes=processes)
         total += self.state_bytes_per_node * nodes
         if processes:

@@ -15,16 +15,15 @@ pool rebuilds and retries.
 Injection sites:
 
 * ``"task"`` — the phase-2 Recur-FWBW task kernel
-  (:func:`repro.runtime.mp_backend._exec_task`); the supervisor or
-  backend numbers every dispatch with a monotone sequence id.
-* ``"queue"`` — the threaded :class:`~repro.runtime.workqueue.
-  TwoLevelWorkQueue` worker loop (tasks numbered in start order).
-* ``"phase"`` — the run-lifecycle harness
-  (:class:`~repro.runtime.lifecycle.RunHarness`); the index is the
-  phase position in the plan and the stage maps to the checkpoint
-  boundary (``"pre"`` = phase entry, ``"mid"`` = phase done but
-  checkpoint not yet written, ``"post"`` = checkpoint published) —
-  the kill-and-resume tests crash the run at exact boundaries.
+  (:func:`repro.runtime.mp_backend._exec_task`); the supervisor
+  numbers every dispatch with a monotone sequence id.
+* ``"phase"`` — the pipeline phases of :meth:`repro.engine.Engine.run`
+  (and its resume entry point); the index is the phase position in
+  the plan and the stage maps to the checkpoint boundary (``"pre"`` =
+  phase entry, ``"mid"`` = phase done but checkpoint not yet written,
+  ``"post"`` = checkpoint published) — the kill-and-resume tests crash
+  the run at exact boundaries, and ``corrupt`` drills rot warm arrays
+  there.
 * ``"job"`` — the batch runner (:func:`repro.engine.batch.run_batch`);
   the index is the job position in the manifest, and the attempt
   number is the job's retry attempt, so a transient fault with the
@@ -55,10 +54,7 @@ Each fault fires at one *stage* of the task lifecycle:
 
 The hook is zero-overhead when off: executors hold a plan reference
 that is ``None`` in normal runs and guard every call site with a
-single ``is not None`` test.  A module-level plan can also be armed
-with :func:`install_plan` (used by the threaded work queue, which has
-no per-run configuration channel) — again a single global read when
-disarmed.
+single ``is not None`` test.
 """
 
 from __future__ import annotations
@@ -80,10 +76,6 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "apply_corruption",
-    "install_plan",
-    "clear_plan",
-    "active_plan",
-    "injected",
 ]
 
 #: network failure modes (applied by stream sources, never by
@@ -126,7 +118,8 @@ class FaultSpec:
     Attributes
     ----------
     kind: one of :data:`FAULT_KINDS`.
-    site: injection site (``"task"`` or ``"queue"``).
+    site: injection site (``"task"``, ``"phase"``, ``"job"``,
+        ``"request"`` or ``"stream"``; see the module docstring).
     index: dispatcher-assigned task sequence id this fault targets.
     stage: lifecycle point (``"pre"``/``"mid"``/``"post"``); ignored
         for ``poison``, which always corrupts the commit.
@@ -283,9 +276,10 @@ class FaultPlan:
     ) -> None:
         """Execute any crash/hang/raise fault armed for this point.
 
-        ``thread_site=True`` (the threaded work queue) downgrades
-        ``crash`` to ``raise`` — killing the whole interpreter to
-        simulate one worker death would take the test runner with it.
+        ``thread_site=True`` (the batch-job and serve-request sites)
+        downgrades ``crash`` to ``raise`` — killing the whole
+        interpreter to simulate one failure would take the batch or
+        the daemon with it.
         """
         spec = self.match(site, index, attempt)
         if (
@@ -356,13 +350,6 @@ class FaultPlan:
             and (stage is None or s.stage == stage)
         )
 
-    def has_only_corruptions(self) -> bool:
-        """True when every spec is a ``corrupt`` (integrity drills
-        need no supervised backend — detection is the engine's job)."""
-        return bool(self.specs) and all(
-            s.kind == "corrupt" for s in self.specs
-        )
-
     # -- misc ----------------------------------------------------------
     def __len__(self) -> int:
         return len(self.specs)
@@ -403,40 +390,3 @@ def apply_corruption(array: np.ndarray, spec: FaultSpec) -> List[int]:
     for pos in positions:
         raw[int(pos) // 8] ^= np.uint8(1 << (int(pos) % 8))
     return [int(p) for p in positions]
-
-
-# ---------------------------------------------------------------------------
-# Module-level arming (used by executors with no per-run config channel).
-# ---------------------------------------------------------------------------
-_PLAN: Optional[FaultPlan] = None
-
-
-def install_plan(plan: FaultPlan) -> None:
-    """Arm ``plan`` globally (picked up by the threaded work queue)."""
-    global _PLAN
-    _PLAN = plan
-
-
-def clear_plan() -> None:
-    """Disarm the global plan (restores the zero-overhead path)."""
-    global _PLAN
-    _PLAN = None
-
-
-def active_plan() -> Optional[FaultPlan]:
-    """The globally armed plan, or ``None`` when injection is off."""
-    return _PLAN
-
-
-class injected:
-    """Context manager arming a plan for the duration of a block."""
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-
-    def __enter__(self) -> FaultPlan:
-        install_plan(self.plan)
-        return self.plan
-
-    def __exit__(self, *exc) -> None:
-        clear_plan()

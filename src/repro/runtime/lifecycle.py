@@ -1,9 +1,9 @@
-"""Run lifecycle: checkpointed, resumable, deadline-bounded SCC runs.
+"""Checkpoint file format (v1) for resumable pipeline runs.
 
-PR 1 hardened the *task* level (supervised workers, bounded retries);
-this layer hardens the *run* level.  A :class:`RunHarness` executes the
-Method 1/2 phase plans (:mod:`repro.core.phases`) and, at every phase
-boundary, publishes an atomic, CRC-verified checkpoint containing
+:meth:`repro.engine.Engine.run` with ``checkpoint_dir`` publishes one
+atomic, CRC-verified checkpoint after every Method 1/2 phase
+(:mod:`repro.core.phases`); :meth:`repro.engine.Engine.resume` picks
+the run up at the first incomplete phase.  A checkpoint holds
 everything the next phase needs:
 
 * the :class:`~repro.core.state.SCCState` arrays (``color``, ``mark``,
@@ -14,57 +14,36 @@ everything the next phase needs:
   uninterrupted run (serial phase-2 driver),
 * the run configuration and a CRC fingerprint of the input graph.
 
-A run killed at any point (power loss, OOM killer, SIGKILL) resumes
-with ``RunHarness.from_checkpoint(...)`` / ``repro run --resume`` at
-the first incomplete phase; a torn or bit-rotted checkpoint is detected
-by its CRC and the harness falls back to the newest older checkpoint
-that verifies.
-
-Two more run-level defences:
-
-* **per-phase deadlines** — ``phase_timeout`` arms the same SIGALRM
-  watchdog machinery the test suite uses, plus a cooperative deadline
-  threaded into the phase-2 drivers; a wedged phase raises
-  :class:`~repro.errors.PhaseTimeoutError` instead of hanging forever;
-* **backend degradation** — when the phase-2 executor fails repeatedly
-  (pool broken, fork unavailable, deadline exceeded), the state rolls
-  back to the phase entry snapshot and the phase retries on the next
-  backend down the chain ``supervised -> processes -> serial``.
-
-Every run finishes with the PR-1 self-verification gate
-(:meth:`SCCState.check_invariants`); resumed or degraded runs are
-additionally cross-checked against an independent Tarjan run.
+The input graph is persisted once per run beside the checkpoints
+(:data:`GRAPH_FILENAME`).  A torn or bit-rotted checkpoint is detected
+by its CRC, and :func:`latest_checkpoint` falls back to the newest
+older checkpoint that verifies.  This module owns only the format:
+writing, reading, and mapping a checkpoint back onto a state and a
+run configuration.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
-import threading
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine.session import GraphSession, graph_fingerprint
-from ..errors import CheckpointError, PhaseTimeoutError, ReproError
-from ..graph import CSRGraph, load_npz, save_npz
+from ..errors import CheckpointError
 from ..ioutil import atomic_path, crc32_chunks
-from .cost import CostModel, DEFAULT_COST_MODEL
-from .faults import FaultPlan
 from .supervisor import SupervisorConfig
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "DEGRADE_CHAIN",
-    "RunReport",
-    "RunHarness",
+    "GRAPH_FILENAME",
+    "run_meta",
+    "run_config",
+    "write_checkpoint",
+    "save_checkpoint",
     "load_checkpoint",
     "latest_checkpoint",
-    "phase_deadline",
+    "restore_state",
 ]
 
 PathLike = Union[str, os.PathLike]
@@ -73,16 +52,6 @@ CHECKPOINT_VERSION = 1
 
 #: file the input graph is persisted to, once per checkpointed run.
 GRAPH_FILENAME = "graph.npz"
-
-#: next backend to try when the phase-2 executor keeps failing — the
-#: one degradation ladder, shared with the service circuit breaker
-#: (:mod:`repro.service.retry`): supervised -> processes -> serial.
-DEGRADE_CHAIN = {
-    "supervised": "processes",
-    "processes": "serial",
-    "threads": "serial",
-}
-_DEGRADE_CHAIN = DEGRADE_CHAIN
 
 #: checkpointed array payload, in CRC order.
 _CKPT_ARRAYS = (
@@ -98,13 +67,8 @@ _CKPT_ARRAYS = (
 
 
 # ---------------------------------------------------------------------------
-# Queue / graph serialization helpers
+# Queue / configuration serialization
 # ---------------------------------------------------------------------------
-#: the graph identity in checkpoints is the same CRC fingerprint the
-#: engine keys its session cache by (one definition, one meaning).
-_graph_crc = graph_fingerprint
-
-
 def _serialize_queue(
     queue: Sequence[Tuple[int, Optional[np.ndarray]]]
 ) -> dict:
@@ -164,16 +128,121 @@ def _supervisor_to_dict(cfg: Optional[SupervisorConfig]) -> Optional[dict]:
     }
 
 
-def _supervisor_from_dict(d: Optional[dict]) -> Optional[SupervisorConfig]:
-    return None if d is None else SupervisorConfig(**d)
+def run_meta(
+    *,
+    method: str,
+    seed: int | None,
+    backend: str,
+    num_workers: int,
+    phase_timeout: Optional[float],
+    supervisor: Optional[SupervisorConfig],
+    method_kwargs: Mapping,
+    plan: Sequence[str],
+    graph_crc: int,
+    graph_version: int,
+) -> dict:
+    """The run-level fields every checkpoint of one run records.
+
+    ``graph_crc`` is the graph identity (the engine's session
+    fingerprint); ``graph_version`` the mutation epoch of the session
+    the run executed on (0 for frozen graphs) — resume refuses a
+    mutable session that has moved on since.  Raises ``ValueError``
+    when ``method_kwargs`` is not JSON-serializable: a checkpoint must
+    be able to rebuild the plan.
+    """
+    from ..kernels import backend_info
+
+    try:
+        json.dumps(dict(method_kwargs))
+    except TypeError as exc:
+        raise ValueError(
+            "checkpointed runs require JSON-serializable method "
+            f"kwargs ({exc})"
+        ) from exc
+    return {
+        "version": CHECKPOINT_VERSION,
+        "method": method,
+        "plan": list(plan),
+        "seed": seed,
+        "backend": backend,
+        "num_threads": num_workers,
+        "phase_timeout": phase_timeout,
+        "supervisor": _supervisor_to_dict(supervisor),
+        "config": dict(method_kwargs),
+        "graph_crc": graph_crc,
+        "graph_version": graph_version,
+        "kernels": str(backend_info()["resolved"]),
+    }
+
+
+def run_config(meta: Mapping) -> dict:
+    """:meth:`~repro.engine.Engine.run` keywords that continue the run
+    a checkpoint recorded (method, seed, executor, budgets and method
+    options)."""
+    from ..engine.backends import BACKEND_NAMES
+
+    backend = meta["backend"]
+    if backend not in BACKEND_NAMES:
+        # v1 checkpoints may name the retired "threads"/"processes"
+        # executors; the serial driver is the reference for both.
+        backend = "serial"
+    supervisor = meta.get("supervisor")
+    return dict(
+        method=meta["method"],
+        seed=meta["seed"],
+        backend=backend,
+        num_workers=meta["num_threads"],
+        phase_timeout=meta.get("phase_timeout"),
+        supervisor=(
+            None if supervisor is None else SupervisorConfig(**supervisor)
+        ),
+        **meta["config"],
+    )
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint files
 # ---------------------------------------------------------------------------
-def _save_checkpoint_file(
+def write_checkpoint(
+    directory: PathLike, index: int, state, queue, meta: Mapping
+) -> str:
+    """Publish the checkpoint taken after phase ``index`` of the plan
+    ``meta`` (from :func:`run_meta`) describes; returns its path.
+
+    It holds the state arrays, counters and pivot RNG, plus the
+    phase-2 queue (``None`` before the queue exists).
+    """
+    name = meta["plan"][index]
+    arrays = {
+        "color": state.color,
+        "mark": state.mark,
+        "labels": state.labels,
+        "phase_of": state.phase_of,
+    }
+    arrays.update(_serialize_queue(queue if queue is not None else []))
+    path = os.path.join(
+        os.fspath(directory), f"phase-{index:02d}-{name}.ckpt.npz"
+    )
+    save_checkpoint(
+        path,
+        arrays,
+        dict(
+            meta,
+            phase_index=index,
+            phase_name=name,
+            num_sccs=int(state.num_sccs),
+            next_color=int(state.color_watermark()),
+            rng_state=state.rng_state(),
+            has_queue=queue is not None,
+        ),
+    )
+    return path
+
+
+def save_checkpoint(
     path: PathLike, arrays: Mapping[str, np.ndarray], meta: dict
 ) -> None:
+    """Atomically write one CRC-sealed checkpoint archive."""
     meta_json = json.dumps(meta, sort_keys=True)
     crc = crc32_chunks(
         *(np.ascontiguousarray(arrays[k]).tobytes() for k in _CKPT_ARRAYS),
@@ -247,10 +316,9 @@ def latest_checkpoint(
     """Find the newest *valid* checkpoint -> ``(path, arrays, meta)``.
 
     ``where`` may be a single checkpoint file or a checkpoint
-    directory.  Corrupt candidates are skipped (the harness falls back
-    to the newest older checkpoint that verifies); if nothing
-    verifies, the raised :class:`CheckpointError` lists every
-    candidate's defect.
+    directory.  Corrupt candidates are skipped (resume falls back to
+    the newest older checkpoint that verifies); if nothing verifies,
+    the raised :class:`CheckpointError` lists every candidate's defect.
     """
     where = os.fspath(where)
     if os.path.isdir(where):
@@ -282,457 +350,20 @@ def latest_checkpoint(
     return best[1], best[2], best[3]
 
 
-# ---------------------------------------------------------------------------
-# Phase deadline watchdog
-# ---------------------------------------------------------------------------
-@contextmanager
-def phase_deadline(seconds: Optional[float], phase: str):
-    """SIGALRM watchdog bounding one unit of work (same machinery as
-    the test suite's deadlock guard); raises
-    :class:`~repro.errors.PhaseTimeoutError` labelled ``phase`` on
-    expiry.  Shared by the run harness (per-phase deadlines), the batch
-    runner (per-job deadlines) and the serve daemon (per-request
-    deadlines).  No-op when unavailable (non-POSIX or a non-main
-    thread) — the cooperative ``ctx['deadline']`` bound still covers
-    the phase-2 drivers there."""
-    if (
-        not seconds
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
+def restore_state(state, arrays: Mapping, meta: Mapping):
+    """Load a checkpoint's arrays, counters and pivot RNG into
+    ``state``; returns the phase-2 queue (None before it exists)."""
+    from ..core.state import StateSnapshot
 
-    def _timed_out(signum, frame):
-        raise PhaseTimeoutError(phase, seconds)
-
-    old_handler = signal.signal(signal.SIGALRM, _timed_out)
-    old_timer = signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, *old_timer)
-        signal.signal(signal.SIGALRM, old_handler)
-
-
-# ---------------------------------------------------------------------------
-# The harness
-# ---------------------------------------------------------------------------
-@dataclass
-class RunReport:
-    """What one harnessed run (or resumption) observed and did."""
-
-    method: str
-    phases_run: List[str] = field(default_factory=list)
-    checkpoints: List[str] = field(default_factory=list)
-    resumed_from: Optional[str] = None
-    resumed_phase: Optional[str] = None
-    #: backend the recur phase finally ran on (None = as requested).
-    degraded_to: Optional[str] = None
-    degradations: int = 0
-    verified: bool = False
-    cross_checked: bool = False
-
-
-class RunHarness:
-    """Checkpointed, resumable executor for the Method 1/2 pipelines.
-
-    Parameters mirror :func:`strongly_connected_components` for the
-    covered methods; the lifecycle-specific ones are:
-
-    checkpoint_dir:
-        Directory to persist phase-boundary checkpoints (plus the
-        input graph, once) into.  ``None`` disables persistence.
-    phase_timeout:
-        Per-phase wall-clock deadline in seconds (None = unbounded).
-    fault_plan:
-        Deterministic boundary fault injection (site ``"phase"``,
-        index = phase position): tests/demos kill or fail the run at
-        exact phase boundaries.
-    phase_hook:
-        ``hook(phase_name, stage)`` called at ``"pre"`` (phase entry),
-        ``"mid"`` (phase done, checkpoint not yet written) and
-        ``"post"`` (checkpoint published).  Test instrumentation.
-    """
-
-    def __init__(
-        self,
-        method: str = "method2",
-        *,
-        seed: int | None = 0,
-        cost: CostModel = DEFAULT_COST_MODEL,
-        checkpoint_dir: Optional[PathLike] = None,
-        phase_timeout: Optional[float] = None,
-        backend: str = "serial",
-        num_threads: int = 4,
-        supervisor: Optional[SupervisorConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        phase_hook: Optional[Callable[[str, str], None]] = None,
-        verify: bool = True,
-        **method_kwargs,
-    ) -> None:
-        if method not in ("method1", "method2"):
-            raise ValueError(
-                "RunHarness covers the paper pipelines 'method1' and "
-                f"'method2', not {method!r}"
-            )
-        self.method = method
-        self.seed = seed
-        self.cost = cost
-        self.checkpoint_dir = (
-            os.fspath(checkpoint_dir) if checkpoint_dir is not None else None
+    state.restore(
+        StateSnapshot(
+            color=np.ascontiguousarray(arrays["color"], np.int64),
+            mark=np.ascontiguousarray(arrays["mark"], bool),
+            labels=np.ascontiguousarray(arrays["labels"], np.int64),
+            phase_of=np.ascontiguousarray(arrays["phase_of"], np.int8),
+            next_color=int(meta["next_color"]),
+            num_sccs=int(meta["num_sccs"]),
         )
-        if phase_timeout is not None and phase_timeout <= 0:
-            raise ValueError("phase_timeout must be positive")
-        self.phase_timeout = phase_timeout
-        self.backend = backend
-        self.num_threads = num_threads
-        self.supervisor = supervisor
-        self.fault_plan = fault_plan
-        self.phase_hook = phase_hook
-        self.verify = verify
-        self.method_kwargs = dict(method_kwargs)
-        if self.checkpoint_dir is not None:
-            try:
-                json.dumps(self.method_kwargs)
-            except TypeError as exc:
-                raise ValueError(
-                    "checkpointed runs require JSON-serializable method "
-                    f"kwargs ({exc})"
-                ) from exc
-        self.report: Optional[RunReport] = None
-
-    # -- construction from a checkpoint --------------------------------
-    @classmethod
-    def from_checkpoint(cls, ckpt: PathLike, **overrides) -> "RunHarness":
-        """Rebuild a harness from a checkpoint's recorded configuration.
-
-        ``overrides`` replace recorded settings (e.g. a different
-        ``checkpoint_dir`` or ``backend``).  Pair with :meth:`resume`::
-
-            harness = RunHarness.from_checkpoint("ckpts/")
-            result = harness.resume("ckpts/")
-        """
-        _, _, meta = latest_checkpoint(ckpt)
-        where = os.fspath(ckpt)
-        ckpt_dir = where if os.path.isdir(where) else os.path.dirname(where)
-        params = dict(
-            seed=meta["seed"],
-            checkpoint_dir=ckpt_dir,
-            phase_timeout=meta.get("phase_timeout"),
-            backend=meta["backend"],
-            num_threads=meta["num_threads"],
-            supervisor=_supervisor_from_dict(meta.get("supervisor")),
-            **meta["config"],
-        )
-        params.update(overrides)
-        return cls(meta["method"], **params)
-
-    # -- plan -----------------------------------------------------------
-    def _plan(self):
-        from ..core.method1 import method1_phases
-        from ..core.method2 import method2_phases
-
-        factory = {
-            "method1": method1_phases,
-            "method2": method2_phases,
-        }[self.method]
-        return factory(
-            backend=self.backend,
-            num_threads=self.num_threads,
-            supervisor=self.supervisor,
-            **self.method_kwargs,
-        )
-
-    # -- entry points ---------------------------------------------------
-    def _session_of(
-        self, g: Union[CSRGraph, GraphSession]
-    ) -> Tuple[GraphSession, bool]:
-        """Resolve the warm session this run executes on.
-
-        A caller-supplied :class:`~repro.engine.session.GraphSession`
-        (e.g. from an :class:`~repro.engine.Engine`) is borrowed — its
-        pools and caches survive this run.  A bare graph gets an
-        ephemeral session the harness tears down afterwards.
-        """
-        if isinstance(g, GraphSession):
-            return g, False
-        return GraphSession(g, cost=self.cost), True
-
-    def run(self, g: Union[CSRGraph, GraphSession]):
-        """Execute the pipeline from scratch; returns the
-        :class:`~repro.core.result.SCCResult` (see ``self.report`` for
-        lifecycle telemetry).
-
-        ``g`` may be a graph or a warm
-        :class:`~repro.engine.session.GraphSession`; with a session,
-        the process executors reuse its cached transpose, shared
-        mirror and forked worker pool.
-        """
-        from ..core.state import SCCState
-
-        session, owns = self._session_of(g)
-        g = session.graph
-        plan = self._plan()
-        self.report = RunReport(method=self.method)
-        if self.checkpoint_dir is not None:
-            os.makedirs(self.checkpoint_dir, exist_ok=True)
-            save_npz(g, os.path.join(self.checkpoint_dir, GRAPH_FILENAME))
-        state = SCCState(g, seed=self.seed, cost=self.cost)
-        try:
-            return self._execute(
-                g, state, {"session": session}, plan, 0
-            )
-        finally:
-            if owns:
-                session.close()
-
-    def resume(
-        self, ckpt: PathLike, g: CSRGraph | GraphSession | None = None
-    ):
-        """Pick the run up at the first incomplete phase.
-
-        ``ckpt`` is a checkpoint file or directory; with ``g=None``
-        the input graph is reloaded from the ``graph.npz`` persisted
-        beside the checkpoints.  The graph's CRC fingerprint (the same
-        value the engine keys its session cache by), the method, and
-        the phase plan must match what the checkpoint recorded —
-        resuming against different data is refused, not silently
-        wrong.  Like :meth:`run`, ``g`` may be a warm
-        :class:`~repro.engine.session.GraphSession`.
-        """
-        from ..core.state import SCCState, StateSnapshot
-
-        path, arrays, meta = latest_checkpoint(ckpt)
-        if meta["method"] != self.method:
-            raise CheckpointError(
-                f"checkpoint is a {meta['method']!r} run but this "
-                f"harness is configured for {self.method!r}",
-                path=path,
-            )
-        if g is None:
-            gpath = os.path.join(
-                os.path.dirname(path), GRAPH_FILENAME
-            )
-            if not os.path.exists(gpath):
-                raise CheckpointError(
-                    f"no {GRAPH_FILENAME} beside the checkpoint; pass "
-                    "the input graph explicitly",
-                    path=path,
-                )
-            g = load_npz(gpath)
-        session, owns = self._session_of(g)
-        g = session.graph
-        # Compare the *actual* arrays being resumed against, not the
-        # session's base fingerprint: a mutable session serves a merged
-        # snapshot whose CRC diverges from the frozen base the moment
-        # an update lands.
-        if _graph_crc(g) != meta["graph_crc"]:
-            if owns:
-                session.close()
-            raise CheckpointError(
-                "input graph does not match the checkpointed run "
-                "(CRC fingerprint mismatch)",
-                path=path,
-            )
-        if session.mutable and session.version != meta.get(
-            "graph_version", 0
-        ):
-            if owns:
-                session.close()
-            raise CheckpointError(
-                f"checkpoint was taken at graph version "
-                f"{meta.get('graph_version', 0)} but the session has "
-                f"advanced to version {session.version}; a stale "
-                "checkpoint cannot be resumed against mutated state",
-                path=path,
-            )
-        try:
-            plan = self._plan()
-            if [ph.name for ph in plan] != list(meta["plan"]):
-                raise CheckpointError(
-                    f"phase plan mismatch: checkpoint has {meta['plan']}, "
-                    f"current configuration builds "
-                    f"{[ph.name for ph in plan]}",
-                    path=path,
-                )
-
-            state = SCCState(g, seed=self.seed, cost=self.cost)
-            state.restore(
-                StateSnapshot(
-                    color=np.ascontiguousarray(arrays["color"], np.int64),
-                    mark=np.ascontiguousarray(arrays["mark"], bool),
-                    labels=np.ascontiguousarray(arrays["labels"], np.int64),
-                    phase_of=np.ascontiguousarray(
-                        arrays["phase_of"], np.int8
-                    ),
-                    next_color=int(meta["next_color"]),
-                    num_sccs=int(meta["num_sccs"]),
-                )
-            )
-            state.set_rng_state(meta["rng_state"])
-            ctx: dict = {"session": session}
-            if meta["has_queue"]:
-                ctx["queue"] = _deserialize_queue(arrays)
-            if meta.get("ctx_backend"):
-                ctx["backend"] = meta["ctx_backend"]
-
-            start = int(meta["phase_index"]) + 1
-            self.report = RunReport(
-                method=self.method,
-                resumed_from=path,
-                resumed_phase=(
-                    plan[start].name if start < len(plan) else None
-                ),
-                degraded_to=meta.get("ctx_backend"),
-            )
-            return self._execute(g, state, ctx, plan, start)
-        finally:
-            if owns:
-                session.close()
-
-    # -- internals ------------------------------------------------------
-    def _fire(self, index: int, name: str, stage: str) -> None:
-        if self.fault_plan is not None:
-            self.fault_plan.fire("phase", index, stage=stage)
-        if self.phase_hook is not None:
-            self.phase_hook(name, stage)
-
-    def _save_checkpoint(
-        self, state, ctx, plan, phase_index: int, graph_crc: int
-    ) -> str:
-        queue = ctx.get("queue")
-        arrays = {
-            "color": state.color,
-            "mark": state.mark,
-            "labels": state.labels,
-            "phase_of": state.phase_of,
-        }
-        arrays.update(_serialize_queue(queue if queue is not None else []))
-        meta = {
-            "version": CHECKPOINT_VERSION,
-            "method": self.method,
-            "phase_index": phase_index,
-            "phase_name": plan[phase_index].name,
-            "plan": [ph.name for ph in plan],
-            "num_sccs": int(state.num_sccs),
-            "next_color": int(state.color_watermark()),
-            "rng_state": state.rng_state(),
-            # graph_crc doubles as the engine's session fingerprint
-            # (one identity, two consumers — see engine.session).
-            "graph_crc": graph_crc,
-            # Mutation epoch of the session the run executed on; 0 for
-            # frozen graphs.  Resume refuses a checkpoint whose epoch
-            # no longer matches a mutable session (version fencing).
-            "graph_version": (
-                ctx["session"].version if ctx.get("session") else 0
-            ),
-            "has_queue": queue is not None,
-            "ctx_backend": ctx.get("backend"),
-            "seed": self.seed,
-            "backend": self.backend,
-            "num_threads": self.num_threads,
-            "phase_timeout": self.phase_timeout,
-            "supervisor": _supervisor_to_dict(self.supervisor),
-            "config": self.method_kwargs,
-            "kernels": self._kernel_backend(),
-        }
-        path = os.path.join(
-            self.checkpoint_dir,
-            f"phase-{phase_index:02d}-{plan[phase_index].name}.ckpt.npz",
-        )
-        _save_checkpoint_file(path, arrays, meta)
-        return path
-
-    @staticmethod
-    def _kernel_backend() -> str:
-        from ..kernels import backend_info
-
-        return str(backend_info()["resolved"])
-
-    def _execute(self, g, state, ctx, plan, start: int):
-        from ..core.result import SCCResult
-
-        report = self.report
-        graph_crc = _graph_crc(g)
-        profile = state.profile
-        for i in range(start, len(plan)):
-            ph = plan[i]
-            self._fire(i, ph.name, "pre")
-            while True:
-                snap = state.snapshot()
-                rng = state.rng_state()
-                queue_before = ctx.get("queue")
-                if self.phase_timeout is not None:
-                    ctx["deadline"] = (
-                        time.monotonic() + self.phase_timeout
-                    )
-                # The threads backend shares the state arrays with its
-                # workers; only its cooperative deadline (which joins
-                # the workers before raising) may interrupt it.  The
-                # SIGALRM watchdog covers everything else.
-                alarm = self.phase_timeout
-                if (
-                    ph.uses_backend
-                    and ctx.get("backend", self.backend) == "threads"
-                ):
-                    alarm = None
-                try:
-                    with phase_deadline(alarm, ph.name):
-                        with profile.wall_timer(ph.timer):
-                            ph.fn(state, ctx)
-                    break
-                except Exception as exc:
-                    backend_now = ctx.get("backend", self.backend)
-                    degraded = (
-                        _DEGRADE_CHAIN.get(backend_now)
-                        if ph.uses_backend
-                        else None
-                    )
-                    if degraded is None:
-                        raise
-                    # Roll back everything the failed attempt touched
-                    # and retry the phase on the next backend down.
-                    state.restore(snap)
-                    state.set_rng_state(rng)
-                    if queue_before is not None:
-                        ctx["queue"] = queue_before
-                    ctx["backend"] = degraded
-                    report.degradations += 1
-                    report.degraded_to = degraded
-                    profile.bump("lifecycle_degradations")
-                    profile.bump(
-                        "lifecycle_degrade_"
-                        + type(exc).__name__.lower()
-                    )
-                finally:
-                    ctx.pop("deadline", None)
-            report.phases_run.append(ph.name)
-            self._fire(i, ph.name, "mid")
-            if self.checkpoint_dir is not None:
-                with profile.wall_timer("checkpoint"):
-                    path = self._save_checkpoint(
-                        state, ctx, plan, i, graph_crc
-                    )
-                report.checkpoints.append(path)
-                profile.bump("lifecycle_checkpoints")
-            self._fire(i, ph.name, "post")
-
-        state.check_done()
-        if self.verify:
-            cross = (
-                report.degradations > 0
-                or report.resumed_from is not None
-                or self.fault_plan is not None
-            )
-            state.check_invariants(
-                require_complete=True, cross_check=cross
-            )
-            report.verified = True
-            report.cross_checked = cross
-        return SCCResult(
-            labels=state.labels,
-            method=self.method,
-            profile=profile,
-            phase_of=state.phase_of,
-        )
+    )
+    state.set_rng_state(meta["rng_state"])
+    return _deserialize_queue(arrays) if meta["has_queue"] else None

@@ -1,4 +1,4 @@
-"""GIL-free execution: phase-2 tasks on worker *processes*.
+"""GIL-free execution: the phase-2 task bodies that run in workers.
 
 The calibration note for this reproduction says it plainly: "GIL
 blocks shared-memory parallel BFS".  Threads cannot run the paper's
@@ -13,70 +13,53 @@ Scope: the task-parallel phase 2 (where the paper's work queue lives).
 Phase 1's data-parallel kernels are single large vectorized NumPy
 calls, which already release the GIL internally where it matters.
 
-The shared-memory mirrors, worker-context arming and pool lifecycle
-live in :mod:`repro.engine.shm` / :mod:`repro.engine.pool` (shared
-with the supervised backend); this module owns only the task kernel
-(:func:`_exec_task`) and the plain breadth-first dispatch loop.  A
-warm :class:`~repro.engine.session.GraphSession` can supply the mirror
-and an already-forked pool, in which case a run pays no shm setup and
-no fork at all.
+This module owns only the task bodies a worker executes —
+:func:`_exec_task` and its batched twin :func:`_exec_batch_task`.  The
+dispatch loop is the supervisor's (:mod:`repro.runtime.supervisor`);
+the shared-memory mirror, worker-context arming and pool lifecycle
+live in :mod:`repro.engine.shm` / :mod:`repro.engine.pool`.
 
 Requires a ``fork`` start method (the read-only CSR graph is inherited
 copy-on-write; only the mutable arrays use explicit shared memory).
-On this repo's single-core CI box the backend yields no speedup — the
-point is that the *code path* is real and tested, not simulated.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.pool import WorkerPool, fork_available
-from ..engine.shm import (
-    WORKER_CTX,
-    SharedStateMirror,
-    arm_worker_context,
-    shm_array,
-)
+from ..engine.shm import WORKER_CTX
 
-__all__ = ["run_recur_phase_processes", "fork_available"]
-
-# Historical names, kept importable for existing callers and tests;
-# both refer to the canonical objects in repro.engine.shm.
-_WORKER_CTX: dict = WORKER_CTX
-_shm_array = shm_array
+__all__: List[str] = []
 
 
 def _exec_task(
     color_value: int,
     nodes: Optional[np.ndarray],
-    seq: int = -1,
-    attempt: int = 0,
-    colors: Optional[Tuple[int, int, int]] = None,
+    seq: int,
+    attempt: int,
+    colors: Tuple[int, int, int],
 ):
     """Run one Recur-FWBW task inside a worker process.
 
-    Reads/writes the shared arrays set up in ``_WORKER_CTX``; returns
+    Reads/writes the shared arrays set up in ``WORKER_CTX``; returns
     ``(children, task_cost, log_entry)`` to the master.
 
     ``seq`` is the dispatcher-assigned sequence id (used only to match
     injected faults deterministically), ``attempt`` the retry count,
-    and ``colors`` an optional master-allocated ``(cfw, cbw, cscc)``
-    triple — the supervisor pre-allocates it so that after a mid-task
-    worker death it knows exactly which colours may have leaked into
-    the shared array and can repair the partition before retrying.
+    and ``colors`` the master-allocated ``(cfw, cbw, cscc)`` triple —
+    the supervisor pre-allocates it so that after a mid-task worker
+    death it knows exactly which colours may have leaked into the
+    shared array and can repair the partition before retrying.
     """
-    ctx = _WORKER_CTX
+    ctx = WORKER_CTX
     g = ctx["graph"]
     color: np.ndarray = ctx["color"]
     mark: np.ndarray = ctx["mark"]
     labels: np.ndarray = ctx["labels"]
     phase_of: np.ndarray = ctx["phase_of"]
     scc_counter = ctx["scc_counter"]
-    color_counter = ctx["color_counter"]
     cost = ctx["cost"]
     phase_id = ctx["phase_id"]
     faults = ctx.get("faults")
@@ -105,17 +88,7 @@ def _exec_task(
         return [], select_cost, None
 
     pivot = int(candidates[0])  # deterministic within a task
-    if colors is None:
-        # Same skip-c allocation sequence as every other executor
-        # (see state.skip_colour_triple), under the shared counter lock.
-        from ..core.state import skip_colour_triple
-
-        with color_counter.get_lock():
-            (cfw, cbw, cscc), color_counter.value = skip_colour_triple(
-                color_counter.value, c
-            )
-    else:
-        cfw, cbw, cscc = colors
+    cfw, cbw, cscc = colors
 
     fw_collected, fw_edges = dfs_collect_colored(
         g.indptr, g.indices, pivot, {c: cfw}, color
@@ -171,37 +144,30 @@ def _exec_task(
 
 def _exec_batch_task(
     specs: Sequence[Tuple[int, Optional[np.ndarray]]],
-    seqs: Optional[Sequence[int]] = None,
-    attempt: int = 0,
-    triples: Optional[Sequence[Tuple[int, int, int]]] = None,
+    seqs: Sequence[int],
+    attempt: int,
+    triples: Sequence[Tuple[int, int, int]],
 ):
     """Run ≤64 Recur-FWBW tasks as one multi-source sweep in a worker.
 
     The batched twin of :func:`_exec_task`: same shared arrays, same
     counters, same fault hooks (``seqs`` aligns one dispatcher
     sequence id per member so injected faults keep matching), same
-    pivot rule (first candidate).  Returns the per-member
+    pivot rule (first candidate).  ``triples`` carries the
+    master-allocated colour triple of each member (the supervisor's
+    repair bookkeeping).  Returns the per-member
     ``(children, task_cost, log_entry)`` list aligned with ``specs``.
-
-    ``triples`` optionally carries master-allocated colour triples per
-    member (the supervisor's repair bookkeeping); without it the live
-    members draw their triples under one ``color_counter`` lock in the
-    same sequential :func:`~repro.core.state.skip_colour_triple` chain
-    per-task execution would.
     """
-    ctx = _WORKER_CTX
+    ctx = WORKER_CTX
     g = ctx["graph"]
     color: np.ndarray = ctx["color"]
     mark: np.ndarray = ctx["mark"]
     labels: np.ndarray = ctx["labels"]
     phase_of: np.ndarray = ctx["phase_of"]
     scc_counter = ctx["scc_counter"]
-    color_counter = ctx["color_counter"]
     cost = ctx["cost"]
     phase_id = ctx["phase_id"]
     faults = ctx.get("faults")
-    if seqs is None:
-        seqs = [-1] * len(specs)
 
     from .. import kernels
 
@@ -209,7 +175,6 @@ def _exec_batch_task(
     if backend is not None:
         kernels.set_backend(backend)
     from ..core.recurfwbw import multi_source_reach
-    from ..core.state import skip_colour_triple
 
     if faults is not None:
         for seq in seqs:
@@ -242,16 +207,7 @@ def _exec_batch_task(
     live_colors = np.array(
         [specs[i][0] for i in live], dtype=np.int64
     )
-    if triples is None:
-        with color_counter.get_lock():
-            nxt = color_counter.value
-            live_triples = []
-            for i in live:
-                triple, nxt = skip_colour_triple(nxt, specs[i][0])
-                live_triples.append(triple)
-            color_counter.value = nxt
-    else:
-        live_triples = [triples[i] for i in live]
+    live_triples = [triples[i] for i in live]
 
     bits, fw_visited, bw_visited = multi_source_reach(
         g.indptr, g.indices, g.in_indptr, g.in_indices,
@@ -332,216 +288,3 @@ def _exec_batch_task(
         for i in live:
             faults.fire("task", seqs[i], stage="post", attempt=attempt)
     return results
-
-
-def _plan_tuple_batches(pending, policy):
-    """Group a generation's ``(parent, color, nodes)`` tuples into
-    batch runs and singles — the dispatch-loop twin of
-    :func:`~repro.core.recurfwbw.plan_batches`."""
-    entries: List[Tuple[str, object]] = []
-    run: List = []
-    colors: set = set()
-
-    def flush() -> None:
-        if len(run) >= policy.min_run:
-            entries.append(("batch", list(run)))
-        else:
-            entries.extend(("single", t) for t in run)
-        run.clear()
-        colors.clear()
-
-    for t in pending:
-        _parent, c, nd = t
-        batchable = nd is not None and (
-            policy.max_item_nodes is None
-            or nd.size <= policy.max_item_nodes
-        )
-        if not batchable:
-            flush()
-            entries.append(("single", t))
-            continue
-        if len(run) >= policy.width or c in colors:
-            flush()
-        run.append(t)
-        colors.add(c)
-    flush()
-    return entries
-
-
-def _dead_workers(pool) -> int:
-    """Count dead worker processes in a raw :class:`multiprocessing.Pool`
-    (kept for callers holding one; :class:`~repro.engine.pool.WorkerPool`
-    exposes the same check as a method)."""
-    procs = getattr(pool, "_pool", None) or []
-    return sum(1 for p in procs if not p.is_alive())
-
-
-def _executor_resources(state, num_workers: int, session):
-    """The mirror/pool pair for one run: the session's warm pair, or an
-    ephemeral one the caller must tear down (``owns=True``)."""
-    from ..core.state import PHASE_RECUR
-    from ..kernels import get_backend
-    from . import faults as _faults
-
-    # A globally installed fault plan (faults.install_plan) rides
-    # along; None in normal runs keeps the hook zero-overhead.
-    plan = _faults.active_plan()
-    if session is not None:
-        mirror, pool = session.executor_resources(
-            num_workers=num_workers,
-            faults=plan,
-            kernel_backend=get_backend(),
-        )
-        return mirror, pool, False
-
-    state.graph.in_indptr  # build the transpose BEFORE forking
-    mirror = SharedStateMirror(state.num_nodes)
-
-    def arm() -> None:
-        arm_worker_context(
-            state.graph,
-            mirror,
-            cost=state.cost,
-            phase_id=PHASE_RECUR,
-            faults=plan,
-            kernel_backend=get_backend(),
-        )
-
-    pool = WorkerPool(num_workers, arm=arm)
-    try:
-        pool.start()
-    except BaseException:
-        mirror.close()
-        raise
-    return mirror, pool, True
-
-
-def run_recur_phase_processes(
-    state,
-    initial: Sequence[Tuple[int, Optional[np.ndarray]]],
-    *,
-    num_workers: int = 2,
-    queue_k: int = 1,
-    phase: str = "recur_fwbw",
-    task_timeout: float | None = 120.0,
-    session=None,
-    phase2_batch=None,
-) -> int:
-    """Drain the phase-2 queue with real worker processes.
-
-    Semantics match the serial/threads drivers in
-    :mod:`repro.engine.backends` (and the spawn tree is recorded the
-    same way); the mutable state lives in shared memory for the
-    duration and is copied back at the end.
-
-    ``session`` optionally supplies a warm
-    :class:`~repro.engine.session.GraphSession`: its persistent mirror
-    and already-forked pool are reused (no shm creation, no fork), and
-    the session keeps them for the next run.  Without a session the
-    mirror and pool are ephemeral and torn down on every exit path.
-
-    ``task_timeout`` bounds every result wait: a worker that dies or
-    hangs mid-task would otherwise leave ``fut.get()`` blocked forever
-    (``multiprocessing.Pool`` silently respawns crashed workers but
-    never completes their lost results).  On expiry the run fails with
-    a diagnosis of the pool state instead of deadlocking; the
-    supervised backend (:mod:`repro.runtime.supervisor`) builds
-    retry/degradation on top of this guard.
-    """
-    if not fork_available():  # pragma: no cover - non-POSIX only
-        raise RuntimeError("process backend requires the 'fork' start method")
-    from .trace import Task
-
-    policy = phase2_batch
-    mirror, pool, owns = _executor_resources(state, num_workers, session)
-    try:
-        mirror.load(state)
-        tasks: List[Task] = []
-        seq = 0  # dispatch sequence id (deterministic fault matching)
-        n_batches = n_batched = 0
-
-        def get_result(fut):
-            try:
-                return fut.get(timeout=task_timeout)
-            except mp.TimeoutError:
-                dead = pool.dead_workers()
-                diagnosis = (
-                    f"{dead} worker(s) died (pool broken)"
-                    if dead
-                    else "workers alive but task hung"
-                )
-                if not owns:
-                    # Condemn the warm pool: a hung worker could
-                    # keep mutating the shared mirror.  The session
-                    # respawns a fresh pool on its next run.
-                    pool.terminate()
-                raise RuntimeError(
-                    "phase-2 task did not complete within "
-                    f"{task_timeout:.1f}s: {diagnosis}; use the "
-                    "'supervised' backend for retry/recovery"
-                ) from None
-
-        def commit(parent, children, task_cost, log_entry):
-            idx = len(tasks)
-            tasks.append(Task(cost=task_cost, parent=parent))
-            if log_entry is not None:
-                state.profile.log_task(*log_entry)
-            for c, nd in children:
-                pending.append((idx, c, nd))
-
-        # (parent_index, color, nodes) items; breadth-first dispatch
-        pending = [(-1, c, nd) for c, nd in initial]
-        while pending:
-            generation = pending
-            pending = []
-            if policy is not None:
-                entries = _plan_tuple_batches(generation, policy)
-            else:
-                entries = [("single", t) for t in generation]
-            futures = []
-            for kind, payload in entries:
-                if kind == "batch":
-                    specs = [(c, nd) for _p, c, nd in payload]
-                    member_seqs = list(range(seq, seq + len(specs)))
-                    seq += len(specs)
-                    futures.append(
-                        (
-                            [p for p, _c, _nd in payload],
-                            pool.apply_async(
-                                _exec_batch_task, (specs, member_seqs)
-                            ),
-                        )
-                    )
-                    n_batches += 1
-                    n_batched += len(specs)
-                else:
-                    parent, c, nd = payload
-                    futures.append(
-                        (
-                            parent,
-                            pool.apply_async(_exec_task, (c, nd, seq)),
-                        )
-                    )
-                    seq += 1
-            for parent, fut in futures:
-                if isinstance(parent, list):
-                    for p, (children, task_cost, log_entry) in zip(
-                        parent, get_result(fut)
-                    ):
-                        commit(p, children, task_cost, log_entry)
-                else:
-                    children, task_cost, log_entry = get_result(fut)
-                    commit(parent, children, task_cost, log_entry)
-
-        # copy shared results back into the state
-        mirror.flush(state)
-        state.trace.task_dag(phase, tasks, queue_k=queue_k)
-        state.profile.bump("recur_tasks", len(tasks))
-        if n_batches:
-            state.profile.bump("phase2_batches", n_batches)
-            state.profile.bump("phase2_batched_tasks", n_batched)
-        return len(tasks)
-    finally:
-        if owns:
-            pool.terminate()
-            mirror.close()

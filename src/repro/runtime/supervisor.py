@@ -1,13 +1,17 @@
 """Supervised process backend: fault-tolerant phase-2 execution.
 
-The plain process backend (:mod:`repro.runtime.mp_backend`) is correct
-but fragile: ``multiprocessing.Pool`` silently respawns a crashed
-worker and never completes its lost result, so a single worker death
-or hung task wedges the whole run.  This module wraps the same task
-kernel in a supervisor that makes the phase survive:
+This is the one process executor.  ``multiprocessing.Pool`` on its own
+is correct but fragile — it silently respawns a crashed worker and
+never completes its lost result, so a single worker death or hung task
+would wedge the whole run.  The supervisor wraps the worker task
+bodies (:mod:`repro.runtime.mp_backend`) so the phase survives:
 
 * **per-task deadlines** — every result wait is bounded; a worker that
   crashes or hangs surfaces as a timeout instead of a deadlock;
+* **the run deadline** — an absolute ``deadline`` is checked between
+  generations and caps every result wait; on expiry the pool is
+  condemned and :class:`~repro.errors.PhaseTimeoutError` (exit 14)
+  propagates;
 * **liveness checks** — after a deadline expires the pool's worker
   processes are inspected to distinguish *worker death* from *task
   hang*; either way the pool is condemned (a hung worker would keep
@@ -28,10 +32,9 @@ kernel in a supervisor that makes the phase survive:
   under an armed fault plan) is additionally cross-checked against an
   independent Tarjan run, so recovery is proven, not assumed;
 * **guaranteed cleanup** — the shared-memory mirror and pool come from
-  :mod:`repro.engine.shm` / :mod:`repro.engine.pool` (the same
-  plumbing as the plain backend); ephemeral ones are released on every
-  exit path including degradation, warm session-owned ones persist for
-  the next run.
+  :mod:`repro.engine.shm` / :mod:`repro.engine.pool`; ephemeral ones
+  are released on every exit path including degradation, warm
+  session-owned ones persist for the next run.
 
 Telemetry (retries, timeouts, worker deaths, pool rebuilds,
 degradation, recovery wall-time) flows into the run's
@@ -50,7 +53,7 @@ import numpy as np
 
 from ..engine.pool import WorkerPool, fork_available
 from ..engine.shm import SharedStateMirror, arm_worker_context
-from ..errors import ReproError
+from ..errors import PhaseTimeoutError, ReproError
 from .faults import FaultPlan
 from .mp_backend import _exec_batch_task, _exec_task
 
@@ -113,7 +116,8 @@ class SupervisorReport:
 
 @dataclass
 class _STask:
-    """One supervised work item (master-side bookkeeping)."""
+    """One supervised work item (master-side bookkeeping); batched by
+    :func:`~repro.core.recurfwbw.plan_batches` like a ``WorkItem``."""
 
     seq: int
     color: int
@@ -121,48 +125,6 @@ class _STask:
     parent: int = -1
     attempt: int = 0
     triple: Tuple[int, int, int] = (0, 0, 0)
-
-
-def _plan_stask_units(batch, policy):
-    """Group a generation's :class:`_STask` list into batch units.
-
-    Only first-attempt hybrid tasks within the storm profile batch —
-    a retried task always re-runs as a single so
-    :func:`repair_partition`'s per-task damage confinement argument
-    stays simple.  Units keep generation order and pairwise-distinct
-    colours (the multi-source kernel's wave contract).
-    """
-    units: List = []
-    run: List[_STask] = []
-    colors: set = set()
-
-    def flush() -> None:
-        if len(run) >= policy.min_run:
-            units.append(list(run))
-        else:
-            units.extend(run)
-        run.clear()
-        colors.clear()
-
-    for t in batch:
-        eligible = (
-            t.attempt == 0
-            and t.nodes is not None
-            and (
-                policy.max_item_nodes is None
-                or t.nodes.size <= policy.max_item_nodes
-            )
-        )
-        if not eligible:
-            flush()
-            units.append(t)
-            continue
-        if len(run) >= policy.width or t.color in colors:
-            flush()
-        run.append(t)
-        colors.add(t.color)
-    flush()
-    return units
 
 
 def repair_partition(
@@ -210,14 +172,15 @@ def run_supervised_recur_phase(
     config: SupervisorConfig | None = None,
     session=None,
     phase2_batch=None,
+    deadline: Optional[float] = None,
 ) -> SupervisorReport:
     """Drain the phase-2 queue under supervision; always terminates.
 
-    Drop-in replacement for
-    :func:`~repro.runtime.mp_backend.run_recur_phase_processes` with
-    recovery semantics (see module docstring).  On unrecoverable pool
-    failure the state is rolled back and the phase re-runs on the
-    serial driver, so the caller always receives a completed phase.
+    Recovery semantics are in the module docstring.  On unrecoverable
+    pool failure the state is rolled back and the phase re-runs on the
+    serial driver, so the caller always receives a completed phase —
+    unless ``deadline`` (absolute ``time.monotonic()`` value) passes
+    first, which raises :class:`~repro.errors.PhaseTimeoutError`.
 
     ``session`` optionally supplies a warm
     :class:`~repro.engine.session.GraphSession` whose persistent mirror
@@ -233,18 +196,16 @@ def run_supervised_recur_phase(
         profile.bump("supervisor_degraded")
         with profile.wall_timer("recovery"):
             state.restore(snap)
-            from ..core.recurfwbw import run_recur_phase
+            from ..engine.backends import drive_serial
 
-            report.tasks = run_recur_phase(
+            report.tasks = drive_serial(
                 state,
                 initial,
                 queue_k=queue_k,
                 phase=phase,
                 pivot_strategy=pivot_strategy,
-                backend="serial",
-                phase2_batch=(
-                    phase2_batch if phase2_batch is not None else False
-                ),
+                deadline=deadline,
+                phase2_batch=phase2_batch,
             )
         profile.bump("supervisor_degrade_" + reason)
 
@@ -262,6 +223,7 @@ def run_supervised_recur_phase(
                 report,
                 session,
                 phase2_batch,
+                deadline,
             )
         except PoolBrokenError:
             _degrade("pool_broken")
@@ -344,12 +306,16 @@ def _run_pool_supervised(
     report: SupervisorReport,
     session=None,
     phase2_batch=None,
+    deadline: Optional[float] = None,
 ) -> int:
     """The supervised pool loop; raises :class:`PoolBrokenError` when
-    the retry budget is exhausted."""
+    the retry budget is exhausted and
+    :class:`~repro.errors.PhaseTimeoutError` past ``deadline``."""
+    from ..core.recurfwbw import plan_batches
     from ..core.state import skip_colour_triple
     from .trace import Task
 
+    start = time.monotonic()
     profile = state.profile
     mirror, pool, owns = _supervised_resources(
         state, num_workers, cfg, session
@@ -358,9 +324,7 @@ def _run_pool_supervised(
         mirror.load(state)
         color, mark = mirror.color, mirror.mark
         # The master owns colour allocation so it can repair after any
-        # failure; workers never touch the shared counter (triples are
-        # passed in), but the context key is still required by
-        # _exec_task.
+        # failure; workers get their triples passed in.
         next_color = int(mirror.color_counter.value)
 
         seq = 0
@@ -370,9 +334,10 @@ def _run_pool_supervised(
             pending.append(_STask(seq=seq, color=c, nodes=nd))
             seq += 1
 
-        policy = phase2_batch
         n_batches = n_batched = 0
         while pending:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise PhaseTimeoutError(phase, time.monotonic() - start)
             batch, pending = pending, []
             for t in batch:
                 # Skip the task's own colour (the BW transition-map
@@ -381,13 +346,8 @@ def _run_pool_supervised(
                 t.triple, next_color = skip_colour_triple(
                     next_color, t.color
                 )
-            units = (
-                _plan_stask_units(batch, policy)
-                if policy is not None
-                else list(batch)
-            )
             futures = []
-            for u in units:
+            for u in plan_batches(batch, phase2_batch):
                 if isinstance(u, list):
                     futures.append(
                         (
@@ -444,9 +404,16 @@ def _run_pool_supervised(
                     if not fut.ready():
                         failed.extend(members)
                         continue
+                wait = cfg.task_timeout
+                if deadline is not None:
+                    wait = min(wait, max(deadline - time.monotonic(), 0.0))
                 try:
-                    res = fut.get(timeout=cfg.task_timeout)
+                    res = fut.get(timeout=wait)
                 except mp.TimeoutError:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        raise PhaseTimeoutError(
+                            phase, time.monotonic() - start
+                        ) from None
                     report.timeouts += 1
                     profile.bump("supervisor_timeouts")
                     deaths = pool.dead_workers()
@@ -463,6 +430,8 @@ def _run_pool_supervised(
                     time.sleep(cfg.grace)
                     broken = True
                     continue
+                except PhaseTimeoutError:
+                    raise  # a caller's SIGALRM watchdog, not the task
                 except Exception:
                     report.task_errors += 1
                     profile.bump("supervisor_task_errors")
@@ -512,6 +481,13 @@ def _run_pool_supervised(
             profile.bump("phase2_batches", n_batches)
             profile.bump("phase2_batched_tasks", n_batched)
         return len(tasks)
+    except PhaseTimeoutError:
+        # Out of budget (the cooperative check above or a caller's
+        # SIGALRM watchdog) with tasks possibly still running: a live
+        # worker may keep writing the mirror, so condemn the pool the
+        # way a task timeout does.  A warm session respawns it.
+        pool.terminate()
+        raise
     finally:
         if owns:
             pool.terminate()

@@ -25,7 +25,7 @@ any work starts:
 
 Admission is a context manager::
 
-    with controller.admit(nodes=n, edges=m, backend="processes"):
+    with controller.admit(nodes=n, edges=m, backend="supervised"):
         ...   # run; the slot is released on every exit path
 """
 

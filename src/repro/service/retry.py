@@ -17,9 +17,9 @@ Two cooperating pieces:
 * :class:`CircuitBreaker` / :class:`BackendBreakers` — per-backend
   failure accounting.  ``N`` consecutive failures trip the breaker
   *open*; while open, :meth:`BackendBreakers.resolve` walks the
-  existing degradation ladder (:data:`~repro.runtime.lifecycle.
-  DEGRADE_CHAIN`: supervised -> processes -> serial) so traffic keeps
-  flowing on a healthier executor instead of hammering a broken pool.
+  system's one degradation ladder (:attr:`BackendBreakers.LADDER`:
+  supervised -> serial) so traffic keeps flowing on a healthier
+  executor instead of hammering a broken pool.
   After ``cooldown`` seconds the breaker goes *half-open* and admits
   one probe: success closes it, failure re-opens it for another
   cooldown.  ``serial`` is the ladder's floor and is never broken.
@@ -46,7 +46,6 @@ from ..errors import (
     WorkerLostError,
 )
 from ..runtime.faults import FaultInjected
-from ..runtime.lifecycle import DEGRADE_CHAIN
 
 __all__ = [
     "TRANSIENT",
@@ -286,10 +285,15 @@ class BackendBreakers:
 
     :meth:`resolve` maps a requested backend to the one traffic should
     actually use: while a breaker is open, requests degrade down
-    :data:`~repro.runtime.lifecycle.DEGRADE_CHAIN` until they reach a
-    backend whose breaker allows them (``serial``, the chain's floor,
-    always does — it has no pool to break and something must serve).
+    :attr:`LADDER` until they reach a backend whose breaker allows
+    them (``serial``, the ladder's floor, always does — it has no pool
+    to break and something must serve).
     """
+
+    #: the one degradation ladder.  Within one run the supervised
+    #: executor already falls back to serial by itself when its pool
+    #: breaks; this ladder steers *later* requests off a tripped pool.
+    LADDER = {"supervised": "serial"}
 
     def __init__(
         self,
@@ -297,12 +301,10 @@ class BackendBreakers:
         threshold: int = 3,
         cooldown: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        chain: Optional[Dict[str, str]] = None,
     ) -> None:
         self.threshold = threshold
         self.cooldown = cooldown
         self._clock = clock
-        self.chain = dict(DEGRADE_CHAIN if chain is None else chain)
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     def breaker(self, backend: str) -> CircuitBreaker:
@@ -318,12 +320,10 @@ class BackendBreakers:
 
     def resolve(self, backend: str) -> str:
         """The backend this request should run on right now."""
-        seen = set()
-        while backend in self.chain and backend not in seen:
+        while backend in self.LADDER:
             if self.breaker(backend).allows:
                 return backend
-            seen.add(backend)
-            backend = self.chain[backend]
+            backend = self.LADDER[backend]
         return backend
 
     def record(self, backend: str, ok: bool) -> None:

@@ -4,7 +4,7 @@ Requests are JSON objects, one per line (stdin/stdout by default, or
 one request per connection on a Unix socket)::
 
     {"op": "run", "graph": "wiki", "scale": 0.1, "method": "method2",
-     "backend": "processes", "deadline": 5.0, "id": "r1"}
+     "backend": "supervised", "deadline": 5.0, "id": "r1"}
     {"op": "update", "graph": "wiki", "scale": 0.1,
      "inserts": [[0, 7], [7, 0]], "deletes": [[3, 4]], "id": "u1"}
     {"op": "health"}
@@ -25,9 +25,8 @@ order:
    (broken pool, phase timeout, injected chaos) back off and retry;
    permanent ones (bad input) fail fast with their typed exit code;
 4. **circuit breaker** — consecutive transient failures on a backend
-   trip its breaker, and subsequent requests degrade down the
-   supervised -> processes -> serial ladder until the cooldown probe
-   heals it;
+   trip its breaker, and subsequent requests degrade down the one
+   supervised -> serial ladder until the cooldown probe heals it;
 5. **governor** (:mod:`repro.service.governor`) — RSS sampled per
    request; pressure evicts warm pools/sessions, hard-limit overshoot
    refuses admission.
@@ -85,7 +84,8 @@ __all__ = [
     "serve_socket",
 ]
 
-#: request keys forwarded verbatim into the method's keyword options.
+#: request keys a ``run`` request may carry; ``options`` may name only
+#: method keywords (:func:`repro.engine.engine.check_method_options`).
 _RUN_KEYS = frozenset(
     (
         "op",
@@ -525,6 +525,14 @@ class SCCService:
             return self._error_response(
                 request, ValueError("run request needs a 'graph' source")
             )
+        from ..engine.engine import check_method_options
+
+        try:
+            check_method_options(
+                request.get("method", "method2"), request.get("options")
+            )
+        except ValueError as exc:
+            return self._error_response(request, exc)
         self.requests += 1
         with self._seq_lock:
             seq = self._seq

@@ -94,6 +94,30 @@ def random_digraph(
     )
 
 
+def ring_of_rings(k: int = 20, sz: int = 25, seed: int = 3) -> CSRGraph:
+    """k size-sz cyclic SCCs chained by forward-only cross edges —
+    trims and the giant-SCC step cannot resolve them, so the phase-2
+    recur queue gets real work (kill-mid-phase2 and deadline drills)."""
+    from repro.graph import from_edge_array
+
+    rng = np.random.default_rng(seed)
+    src, dst = [], []
+    for r in range(k):
+        base = r * sz
+        for i in range(sz):
+            src.append(base + i)
+            dst.append(base + (i + 1) % sz)
+        a = rng.integers(0, sz, 2 * sz)
+        b = rng.integers(0, sz, 2 * sz)
+        src += (base + a).tolist()
+        dst += (base + b).tolist()
+    for r in range(k - 1):
+        for _ in range(3):
+            src.append(r * sz + int(rng.integers(sz)))
+            dst.append((r + 1) * sz + int(rng.integers(sz)))
+    return from_edge_array(np.array(src), np.array(dst), k * sz)
+
+
 # ---------------------------------------------------------------------------
 # Canonical small graphs (name -> edge list, num_nodes)
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -118,6 +120,59 @@ class TestInfo:
             main(
                 ["info", "--dataset", "livej", "--input", str(path)]
             )
+
+
+class TestRun:
+    def test_checkpointed_run_then_resume(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        code, out = run_cli(
+            capsys, "run", "--dataset", "wiki", "--scale", "0.02",
+            "--checkpoint-dir", str(ck), "--phase-timeout", "60",
+        )
+        assert code == 0
+        assert f"checkpoints: 7 written to {ck}" in out
+        assert "labels verified\n" in out
+        for name in sorted(os.listdir(ck)):
+            if name.startswith(("phase-04", "phase-05", "phase-06")):
+                os.remove(ck / name)
+        code, resumed = run_cli(capsys, "run", "--resume", str(ck))
+        assert code == 0
+        assert "picked up at phase: par_trim_3" in resumed
+        assert "phases run: par_trim_3, par_wcc, recur_fwbw" in resumed
+        assert "labels verified (Tarjan cross-check)" in resumed
+
+        def sccs(text):
+            return [ln for ln in text.splitlines() if ln.startswith("SCCs:")]
+
+        assert sccs(resumed) == sccs(out)
+
+    def test_plain_run_is_gated(self, capsys, monkeypatch):
+        code, out = run_cli(
+            capsys, "run", "--dataset", "wiki", "--scale", "0.02"
+        )
+        assert code == 0
+        assert "labels verified\n" in out
+        # the gate is real: a result with an unlabelled node fails typed
+        from repro.engine.engine import Engine
+
+        real_run = Engine.run
+
+        def leaky_run(self, *args, **kwargs):
+            result = real_run(self, *args, **kwargs)
+            result.labels[0] = -1
+            return result
+
+        monkeypatch.setattr(Engine, "run", leaky_run)
+        code, out = run_cli(
+            capsys, "run", "--dataset", "wiki", "--scale", "0.02"
+        )
+        assert code == 15
+        assert "labels verified" not in out
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_retired_backends_rejected(self, backend):
+        with pytest.raises(SystemExit):
+            main(["run", "--dataset", "wiki", "--backend", backend])
 
 
 class TestBatch:

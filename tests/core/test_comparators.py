@@ -116,10 +116,10 @@ class TestFwbwDetails:
 
         assert (r.phase_of == PHASE_RECUR).all()
 
-    def test_threads_backend(self):
+    def test_supervised_backend(self):
         g = random_digraph(150, 500, seed=2)
         r = strongly_connected_components(
-            g, "fwbw", backend="threads", num_threads=4
+            g, "fwbw", backend="supervised", num_threads=2
         )
         assert same_partition(r.labels, scipy_scc_labels(g))
 

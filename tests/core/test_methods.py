@@ -48,10 +48,10 @@ class TestParallelMethodDetails:
         assert len(r.profile.trace) > 0
         assert r.profile.trace.total_work() > 0
 
-    def test_threads_backend_correct(self, method):
+    def test_supervised_backend_correct(self, method):
         g = random_digraph(200, 800, seed=3)
         r = strongly_connected_components(
-            g, method, backend="threads", num_threads=4
+            g, method, backend="supervised", num_threads=2
         )
         assert same_partition(r.labels, scipy_scc_labels(g))
 

@@ -4,10 +4,8 @@ The contract (DESIGN.md §13): on a deterministic drain the batched
 path is *bit-identical* to the per-pivot path — same labels, same
 trace records (costs and scanned-edge attribution included) — under
 every kernel backend.  Deterministic drains are the serial driver and
-the single-worker process executors (FIFO master dispatch); the
-threaded queue's local-deque order already makes its per-pivot drain
-nondeterministic, so there the batched path carries the executor's
-existing guarantee: a correct partition.
+the single-worker supervised executor (FIFO master dispatch); both
+group the queue with the one planner, :func:`plan_batches`.
 """
 
 import numpy as np
@@ -65,7 +63,7 @@ class TestSerialBitIdentical:
 
 
 class TestProcessExecutorsBitIdentical:
-    @pytest.mark.parametrize("executor", ("processes", "supervised"))
+    @pytest.mark.parametrize("executor", ("supervised",))
     @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
     def test_batched_equals_per_pivot(self, executor, kernel):
         g, base = drain(
@@ -78,19 +76,6 @@ class TestProcessExecutorsBitIdentical:
         assert base.trace.records == batched.trace.records
         assert same_partition(batched.labels, scipy_scc_labels(g))
         assert batched.profile.counters.get("phase2_batches", 0) > 0
-
-
-class TestThreadsCorrect:
-    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
-    def test_batched_partition_correct(self, kernel):
-        g, s, items = tail_state("flickr")
-        with use_backend(kernel):
-            run_recur_phase(
-                s, items, backend="threads", num_threads=2,
-                phase2_batch=True,
-            )
-        assert same_partition(s.labels, scipy_scc_labels(g))
-        assert s.profile.counters.get("phase2_batches", 0) > 0
 
 
 class TestPolicy:
@@ -159,3 +144,14 @@ class TestPolicy:
     def test_no_policy_passthrough(self):
         items = self._items([1, 2, 3])
         assert plan_batches(items, None) == items
+
+    def test_retried_items_run_alone(self):
+        # a retried task re-runs as a single so the supervisor's
+        # per-task colour repair stays confined to one triple
+        policy = Phase2BatchPolicy(width=8)
+        items = self._items([1, 2, 3, 4])
+        items[2].attempt = 1
+        plans = plan_batches(items, policy)
+        assert [it.color for it in plans[0]] == [1, 2]
+        assert plans[1] is items[2]
+        assert isinstance(plans[2], WorkItem)  # a run of one

@@ -70,7 +70,7 @@ class TestSingleTask:
 
 
 class TestDrivers:
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "supervised"])
     @pytest.mark.parametrize("seed", range(3))
     def test_full_decomposition(self, backend, seed):
         g = random_digraph(150, 600, seed=seed)
@@ -79,7 +79,7 @@ class TestDrivers:
             s,
             [(0, np.arange(150))],
             backend=backend,
-            num_threads=4,
+            num_threads=2,
         )
         s.check_done()
         assert same_partition(s.labels, scipy_scc_labels(g))

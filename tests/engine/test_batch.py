@@ -101,6 +101,28 @@ class TestRunBatch:
         assert report.records[2].ok and report.records[3].ok
         assert report.first_failure_code == 1
 
+    def test_run_level_options_fail_the_job_before_it_runs(self, tmp_path):
+        from repro.service.retry import RetryPolicy
+
+        ck = tmp_path / "ck"
+        jobs = [
+            BatchJob(
+                graph="wiki", scale=0.05, options={"checkpoint_dir": str(ck)}
+            ),
+            BatchJob(graph="wiki", scale=0.05, options={"queue_k": 4}),
+        ]
+        with Engine() as eng:
+            report = run_batch(
+                eng, jobs, retry=RetryPolicy(max_attempts=3, backoff_base=0.0)
+            )
+        bad, tuned = report.records
+        assert not bad.ok
+        assert bad.error_type == "ValueError"
+        assert "checkpoint_dir" in bad.error
+        assert bad.attempts == 1  # permanent: failed fast
+        assert not ck.exists()
+        assert tuned.ok
+
     def test_injected_fault_survived(self):
         """The chaos drill the CLI --fault-plan flag runs: the hit job
         fails typed, every other job completes."""

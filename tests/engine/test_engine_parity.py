@@ -21,7 +21,7 @@ from repro.engine.pool import fork_available
 from repro.kernels import use_backend
 from tests.conftest import random_digraph, scipy_scc_labels
 
-ALL_BACKENDS = ("serial", "processes", "supervised")
+ALL_BACKENDS = ("serial", "supervised")
 BACKENDS = tuple(
     b.strip()
     for b in os.environ.get(
@@ -33,7 +33,7 @@ KERNELS = ("numpy", "numba")
 
 
 def skip_unless_runnable(backend):
-    if backend in ("processes", "supervised") and not fork_available():
+    if backend == "supervised" and not fork_available():
         pytest.skip("requires POSIX fork")
 
 
@@ -70,8 +70,8 @@ def test_labels_bit_identical_cold_and_warm(
 
 
 def test_warm_run_pays_no_setup(graph):
-    skip_unless_runnable("processes")
-    with Engine(backend="processes", num_workers=2) as eng:
+    skip_unless_runnable("supervised")
+    with Engine(backend="supervised", num_workers=2) as eng:
         eng.run(graph, method="method2")
         sess = eng.session(graph)
         setup_after_cold = sess.stats.setup_seconds()

@@ -146,9 +146,3 @@ class TestWorkerContext:
             finally:
                 disarm_worker_context()
             assert not WORKER_CTX
-
-    def test_legacy_alias_is_same_object(self):
-        from repro.runtime.mp_backend import _WORKER_CTX, _shm_array
-
-        assert _WORKER_CTX is WORKER_CTX
-        assert _shm_array is shm_array

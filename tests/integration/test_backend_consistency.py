@@ -1,17 +1,15 @@
-"""Cross-backend consistency: serial, threads and processes must all
-produce the same SCC partition (labels may differ by renaming)."""
+"""Cross-backend consistency: serial and supervised must produce the
+same SCC partition (labels may differ by renaming)."""
 
 import numpy as np
 import pytest
 
 from repro import strongly_connected_components
 from repro.core import same_partition
-from repro.runtime.mp_backend import fork_available
+from repro.engine.pool import fork_available
 from tests.conftest import random_digraph
 
-BACKENDS = ["serial", "threads"] + (
-    ["processes"] if fork_available() else []
-)
+BACKENDS = ["serial"] + (["supervised"] if fork_available() else [])
 
 
 @pytest.mark.parametrize("method", ["baseline", "method1", "method2", "fwbw"])

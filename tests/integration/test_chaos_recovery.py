@@ -30,7 +30,7 @@ from repro.distributed import (
     sweep_checkpoint_interval,
 )
 from repro.runtime import FaultPlan, FaultSpec, SupervisorConfig
-from repro.runtime.mp_backend import fork_available
+from repro.engine.pool import fork_available
 from tests.conftest import random_digraph
 
 pytestmark = [

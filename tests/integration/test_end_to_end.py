@@ -29,9 +29,9 @@ def test_method_correct_on_every_dataset(bundle, oracle, method):
     assert same_partition(r.labels, oracle)
 
 
-def test_method2_threaded_on_dataset(bundle, oracle):
+def test_method2_supervised_on_dataset(bundle, oracle):
     r = strongly_connected_components(
-        bundle.graph, "method2", backend="threads", num_threads=4
+        bundle.graph, "method2", backend="supervised", num_threads=2
     )
     assert same_partition(r.labels, oracle)
 

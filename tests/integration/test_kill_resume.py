@@ -19,6 +19,8 @@ import textwrap
 import numpy as np
 import pytest
 
+from tests.conftest import ring_of_rings
+
 pytestmark = pytest.mark.chaos
 
 REPO_SRC = os.path.join(
@@ -29,31 +31,37 @@ CHILD = textwrap.dedent(
     """
     import os, signal, sys
     import numpy as np
-    from repro.runtime.lifecycle import RunHarness
+    from repro.core.method2 import method2_phases
+    from repro.engine import Engine
     from repro.graph import load_npz
+    from repro.runtime import FaultPlan
 
     mode, ckpt_dir, out = sys.argv[1], sys.argv[2], sys.argv[3]
     g = load_npz(os.path.join(ckpt_dir, "graph.npz"))
+    engine = Engine(canonical=False)
 
     def die():
         os.kill(os.getpid(), signal.SIGKILL)
 
     if mode == "ref":
-        res = RunHarness("method2", seed=9).run(g)
+        res = engine.run(g, seed=9)
         np.save(out, res.labels)
     elif mode == "resume":
-        h = RunHarness.from_checkpoint(ckpt_dir)
-        res = h.resume(ckpt_dir)
+        res = engine.resume(ckpt_dir)
         np.save(out, res.labels)
-        sys.stderr.write(f"resumed at {h.report.resumed_phase}\\n")
+        sys.stderr.write(f"resumed at {res.lifecycle.resumed_phase}\\n")
     elif mode.startswith("kill-boundary:"):
-        _, name, stage = mode.split(":")
-        def hook(phase, st):
-            if phase == name and st == stage:
-                die()
-        RunHarness(
-            "method2", seed=9, checkpoint_dir=ckpt_dir, phase_hook=hook
-        ).run(g)
+        _, name, when = mode.split(":")
+        target = [ph.name for ph in method2_phases()].index(name)
+
+        class Lethal(FaultPlan):
+            # the phase-site fault hook: "mid" = phase done, checkpoint
+            # not yet written; "post" = checkpoint published
+            def fire(self, site, index, *, stage, **kw):
+                if site == "phase" and index == target and stage == when:
+                    die()
+
+        engine.run(g, seed=9, checkpoint_dir=ckpt_dir, fault_plan=Lethal())
         raise SystemExit("hook never fired")
     elif mode == "kill-mid-phase2":
         import repro.core.recurfwbw as rf
@@ -65,9 +73,7 @@ CHILD = textwrap.dedent(
                 die()
             return real(state, item, **kw)
         rf.recur_fwbw_task = lethal
-        RunHarness(
-            "method2", seed=9, checkpoint_dir=ckpt_dir
-        ).run(g)
+        engine.run(g, seed=9, checkpoint_dir=ckpt_dir)
         raise SystemExit("phase 2 drained before task 5")
     else:
         raise SystemExit(f"bad mode {mode}")
@@ -86,30 +92,6 @@ def run_child(script_dir, mode, ckpt_dir, out, kernels):
         text=True,
         timeout=90,
     )
-
-
-def ring_of_rings(k=20, sz=25, seed=3):
-    """k size-sz cyclic SCCs chained by forward-only cross edges —
-    trims and the giant-SCC step cannot resolve them, so the phase-2
-    recur queue gets real work (the kill-mid-phase2 target)."""
-    from repro.graph import from_edge_array
-
-    rng = np.random.default_rng(seed)
-    src, dst = [], []
-    for r in range(k):
-        base = r * sz
-        for i in range(sz):
-            src.append(base + i)
-            dst.append(base + (i + 1) % sz)
-        a = rng.integers(0, sz, 2 * sz)
-        b = rng.integers(0, sz, 2 * sz)
-        src += (base + a).tolist()
-        dst += (base + b).tolist()
-    for r in range(k - 1):
-        for _ in range(3):
-            src.append(r * sz + int(rng.integers(sz)))
-            dst.append((r + 1) * sz + int(rng.integers(sz)))
-    return from_edge_array(np.array(src), np.array(dst), k * sz)
 
 
 @pytest.fixture

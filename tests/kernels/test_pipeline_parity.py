@@ -15,7 +15,7 @@ from repro.generators import rmat_graph, watts_strogatz_graph
 from repro.kernels import use_backend
 from tests.conftest import scipy_scc_labels
 from repro.core.result import same_partition
-from repro.runtime.mp_backend import fork_available
+from repro.engine.pool import fork_available
 
 
 def _graphs():
@@ -47,7 +47,7 @@ def test_process_workers_inherit_backend():
     for backend in ("numpy", "numba"):
         with use_backend(backend):
             results[backend] = strongly_connected_components(
-                g, "method2", seed=0, backend="processes", num_threads=2
+                g, "method2", seed=0, backend="supervised", num_threads=2
             )
     assert np.array_equal(
         results["numpy"].labels, results["numba"].labels

@@ -1,24 +1,25 @@
 """Unit tests for the fault-injection harness and the supervisor."""
 
 import glob
-import multiprocessing as mp
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import SCCState, StateInvariantError, same_partition, tarjan_scc
 from repro.core.recurfwbw import run_recur_phase
+from repro.engine.pool import fork_available
+from repro.engine.shm import WORKER_CTX, shm_array
+from repro.errors import PhaseTimeoutError, exit_code_for
 from repro.runtime import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
     SupervisorConfig,
-    TwoLevelWorkQueue,
+    run_supervised_recur_phase,
 )
-from repro.runtime import faults as faults_mod
-from repro.runtime.mp_backend import _shm_array, fork_available
 from repro.runtime.supervisor import repair_partition
-from tests.conftest import random_digraph, scipy_scc_labels
+from tests.conftest import random_digraph, ring_of_rings, scipy_scc_labels
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires POSIX fork"
@@ -31,7 +32,7 @@ class TestFaultPlan:
         assert plan.match("task", 3, attempt=0) is not None
         assert plan.match("task", 3, attempt=1) is None  # times=1
         assert plan.match("task", 2, attempt=0) is None
-        assert plan.match("queue", 3, attempt=0) is None
+        assert plan.match("phase", 3, attempt=0) is None
 
     def test_times_covers_retries(self):
         plan = FaultPlan([FaultSpec(kind="raise", index=0, times=3)])
@@ -45,9 +46,9 @@ class TestFaultPlan:
             plan.fire("task", 1, stage="mid")
 
     def test_crash_downgraded_at_thread_site(self):
-        plan = FaultPlan([FaultSpec(kind="crash", site="queue", index=0)])
+        plan = FaultPlan([FaultSpec(kind="crash", site="job", index=0)])
         with pytest.raises(FaultInjected):
-            plan.fire("queue", 0, stage="pre", thread_site=True)
+            plan.fire("job", 0, stage="pre", thread_site=True)
 
     def test_poison_never_fires_as_control_fault(self):
         plan = FaultPlan.single("poison", index=0)
@@ -109,64 +110,6 @@ class TestFaultPlan:
         # the phase site itself is fine
         FaultSpec(kind="corrupt", site="phase", array="labels")
 
-    def test_global_arming(self):
-        assert faults_mod.active_plan() is None
-        with faults_mod.injected(FaultPlan.single("raise")) as plan:
-            assert faults_mod.active_plan() is plan
-        assert faults_mod.active_plan() is None
-
-
-class TestQueueFaults:
-    def test_exception_does_not_wedge_termination(self):
-        # a raising callback must stop the queue, not deadlock it
-        def proc(item):
-            if item == 5:
-                raise ValueError("boom")
-
-        with pytest.raises(ValueError, match="boom"):
-            TwoLevelWorkQueue(3, k=2).run(range(20), proc)
-
-    def test_record_mode_drains_and_records(self):
-        seen = []
-
-        def proc(item):
-            if item % 3 == 0:
-                raise ValueError(f"bad {item}")
-            seen.append(item)
-
-        tel = TwoLevelWorkQueue(2, k=1, on_error="record").run(
-            range(9), proc
-        )
-        assert tel.failed == 3
-        assert len(tel.errors) == 3
-        assert sorted(seen) == [1, 2, 4, 5, 7, 8]
-
-    def test_record_mode_with_children(self):
-        def proc(item):
-            if item == "bad":
-                raise RuntimeError("dropped subtree")
-            if item == 0:
-                return ["bad", 1, 2]
-
-        tel = TwoLevelWorkQueue(2, on_error="record").run([0], proc)
-        assert tel.failed == 1 and tel.tasks == 3
-
-    def test_injected_raise_via_global_plan(self):
-        plan = FaultPlan(
-            [FaultSpec(kind="raise", site="queue", index=0)]
-        )
-        with faults_mod.injected(plan):
-            tel = TwoLevelWorkQueue(1, on_error="record").run(
-                range(5), lambda i: None
-            )
-        assert tel.failed == 1
-        assert isinstance(tel.errors[0], FaultInjected)
-
-    def test_zero_overhead_when_disarmed(self):
-        # no plan armed: the hook must not even allocate a counter
-        tel = TwoLevelWorkQueue(2).run(range(10), lambda i: None)
-        assert tel.failed == 0 and tel.errors == []
-
 
 class TestShmHygiene:
     def test_registry_sees_segment_before_failure(self):
@@ -175,7 +118,7 @@ class TestShmHygiene:
         registry = []
         with pytest.raises((TypeError, ValueError)):
             # shape/init mismatch triggers the failure after create
-            _shm_array((10,), np.int64, np.zeros(3, dtype=np.int64), registry)
+            shm_array((10,), np.int64, np.zeros(3, dtype=np.int64), registry)
         assert len(registry) == 1
         registry[0].close()
         registry[0].unlink()
@@ -282,8 +225,6 @@ class TestSupervisedBackend:
         assert s.unfinished() == 60
 
     def test_report_via_direct_call(self):
-        from repro.runtime import run_supervised_recur_phase
-
         g = random_digraph(100, 400, seed=2)
         s = SCCState(g)
         report = run_supervised_recur_phase(
@@ -301,45 +242,63 @@ class TestSupervisedBackend:
         assert report.tasks > 0
 
 
+    def test_run_deadline_bounds_a_hung_task(self):
+        # A task hung for 4 s under a 30 s task timeout: only the run
+        # deadline can stop it.  The executor must fail typed near the
+        # 1 s budget (not return OK after the hang) and condemn the
+        # session's pool so the hung worker cannot touch the mirror.
+        from repro.engine import Engine
+
+        cfg = SupervisorConfig(
+            task_timeout=30.0,
+            fault_plan=FaultPlan.single("hang", index=0, hang_seconds=4.0),
+        )
+        with Engine(backend="supervised") as eng:
+            t0 = time.monotonic()
+            with pytest.raises(PhaseTimeoutError) as err:
+                eng.run(ring_of_rings(), supervisor=cfg, deadline=1.0)
+            elapsed = time.monotonic() - t0
+            (session,) = eng.sessions
+            assert not session.pool.alive
+        assert elapsed < 3.0
+        assert exit_code_for(err.value) == 14
+
+
 @needs_fork
 class TestMpBackendGuard:
-    def test_timeout_surfaces_instead_of_deadlock(self):
-        # a hung task under the *plain* process backend must error out
-        # (the pre-fix behaviour was an unbounded fut.get() deadlock)
-        from repro.runtime.mp_backend import (
-            _WORKER_CTX,
-            run_recur_phase_processes,
-        )
+    """A hung or dead worker surfaces as a bounded timeout, never as a
+    deadlocked result wait (``multiprocessing.Pool`` never completes a
+    crashed worker's result)."""
 
+    def _run(self, spec):
         g = random_digraph(80, 300, seed=0)
         s = SCCState(g)
-        plan = FaultPlan(
-            [FaultSpec(kind="hang", index=0, hang_seconds=60.0)]
+        report = run_supervised_recur_phase(
+            s,
+            [(0, np.arange(80))],
+            num_workers=2,
+            config=SupervisorConfig(
+                task_timeout=0.5,
+                grace=0.05,
+                backoff_base=0.01,
+                fault_plan=FaultPlan([spec]),
+            ),
         )
-        with pytest.raises(RuntimeError, match="did not complete"):
-            with faults_mod.injected(plan):
-                run_recur_phase_processes(
-                    s,
-                    [(0, np.arange(80))],
-                    num_workers=2,
-                    task_timeout=0.5,
-                )
-        assert not _WORKER_CTX  # context disarmed on the error path
+        assert same_partition(s.labels, scipy_scc_labels(g))
+        assert not WORKER_CTX  # context disarmed after the forks
+        return report
+
+    def test_timeout_surfaces_instead_of_deadlock(self):
+        report = self._run(
+            FaultSpec(kind="hang", index=0, hang_seconds=60.0)
+        )
+        assert report.timeouts == 1
+        assert report.pool_rebuilds == 1 and report.retries == 1
 
     def test_dead_worker_diagnosed(self):
-        from repro.runtime.mp_backend import run_recur_phase_processes
-
-        g = random_digraph(80, 300, seed=0)
-        s = SCCState(g)
-        plan = FaultPlan([FaultSpec(kind="crash", index=0)])
-        with pytest.raises(RuntimeError, match="supervised"):
-            with faults_mod.injected(plan):
-                run_recur_phase_processes(
-                    s,
-                    [(0, np.arange(80))],
-                    num_workers=2,
-                    task_timeout=1.0,
-                )
+        report = self._run(FaultSpec(kind="crash", index=0))
+        assert report.timeouts == 1
+        assert report.pool_rebuilds == 1 and report.cross_checked
 
 
 class TestCheckInvariants:

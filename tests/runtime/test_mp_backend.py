@@ -1,4 +1,5 @@
-"""Tests for the multiprocessing (GIL-free) phase-2 backend."""
+"""Tests for the process (GIL-free) phase-2 backend: the supervised
+executor driving the worker task bodies in :mod:`repro.runtime.mp_backend`."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from repro import strongly_connected_components
 from repro.core import SCCState, same_partition
 from repro.core.recurfwbw import run_recur_phase
-from repro.runtime.mp_backend import fork_available
+from repro.engine.pool import fork_available
 from repro.runtime.trace import TaskDAGRecord
 from tests.conftest import random_digraph, scipy_scc_labels
 
@@ -23,7 +24,7 @@ class TestProcessBackend:
         run_recur_phase(
             s,
             [(0, np.arange(200))],
-            backend="processes",
+            backend="supervised",
             num_threads=2,
         )
         s.check_done()
@@ -33,7 +34,7 @@ class TestProcessBackend:
         g = random_digraph(120, 400, seed=5)
         s = SCCState(g)
         run_recur_phase(
-            s, [(0, None)], backend="processes", num_threads=2
+            s, [(0, None)], backend="supervised", num_threads=2
         )
         s.check_done()
         assert same_partition(s.labels, scipy_scc_labels(g))
@@ -44,7 +45,7 @@ class TestProcessBackend:
         n_tasks = run_recur_phase(
             s,
             [(0, np.arange(100))],
-            backend="processes",
+            backend="supervised",
             num_threads=2,
             queue_k=4,
         )
@@ -58,7 +59,7 @@ class TestProcessBackend:
         g = random_digraph(150, 500, seed=2)
         s = SCCState(g)
         run_recur_phase(
-            s, [(0, np.arange(150))], backend="processes", num_threads=2
+            s, [(0, np.arange(150))], backend="supervised", num_threads=2
         )
         assert s.num_sccs == int(s.labels.max()) + 1
         # fresh colours must not collide with ones used in the run
@@ -69,7 +70,7 @@ class TestProcessBackend:
         oracle = scipy_scc_labels(g)
         for method in ("baseline", "method1", "method2"):
             r = strongly_connected_components(
-                g, method, backend="processes", num_threads=2
+                g, method, backend="supervised", num_threads=2
             )
             assert same_partition(r.labels, oracle), method
 
@@ -77,7 +78,7 @@ class TestProcessBackend:
         g = random_digraph(150, 600, seed=4)
         s = SCCState(g)
         run_recur_phase(
-            s, [(0, np.arange(150))], backend="processes", num_threads=2
+            s, [(0, np.arange(150))], backend="supervised", num_threads=2
         )
         assert len(s.profile.task_log) > 0
 
@@ -85,6 +86,6 @@ class TestProcessBackend:
         g = random_digraph(10, 20, seed=0)
         s = SCCState(g)
         assert (
-            run_recur_phase(s, [], backend="processes", num_threads=2)
+            run_recur_phase(s, [], backend="supervised", num_threads=2)
             == 0
         )

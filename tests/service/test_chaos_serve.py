@@ -100,7 +100,7 @@ class TestChaosServe:
                     "graph": GRAPH,
                     "scale": SCALE,
                     "id": "r0",
-                    "backend": "threads",
+                    "backend": "supervised",
                 },
                 {"op": "shutdown"},
             ],
@@ -108,11 +108,11 @@ class TestChaosServe:
         (run,) = [r for r in responses if r.get("id") == "r0"]
         assert run["ok"], run
         assert run["attempts"] >= 2  # the injected fault burned one
-        assert run["backend_requested"] == "threads"
+        assert run["backend_requested"] == "supervised"
         assert run["backend_used"] == "serial"  # breaker rerouted it
         assert run["labels_crc32"] == expected_crc()
         stats = json.load(open(report))
-        assert stats["breakers"]["threads"]["trips"] == 1
+        assert stats["breakers"]["supervised"]["trips"] == 1
         assert stats["degraded_runs"] == 1
 
     def test_saturating_burst_sheds_typed_and_serves_the_rest(self):

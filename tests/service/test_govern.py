@@ -108,7 +108,7 @@ class TestMemoryGate:
 
         serial = DEFAULT_MEMORY_MODEL.run_bytes(10_000, 100_000)
         procs = DEFAULT_MEMORY_MODEL.run_bytes(
-            10_000, 100_000, backend="processes", num_workers=4
+            10_000, 100_000, backend="supervised", num_workers=4
         )
         assert procs > serial
 

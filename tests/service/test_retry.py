@@ -10,7 +10,6 @@ from repro.errors import (
     ServiceOverloadError,
 )
 from repro.runtime.faults import FaultInjected
-from repro.runtime.lifecycle import DEGRADE_CHAIN
 from repro.runtime.supervisor import PoolBrokenError
 from repro.service.retry import (
     BackendBreakers,
@@ -218,30 +217,28 @@ class TestBackendBreakers:
         brs = BackendBreakers(threshold=1, cooldown=60.0, clock=clock)
         assert brs.resolve("supervised") == "supervised"
         brs.record("supervised", False)
-        assert brs.resolve("supervised") == "processes"
-        brs.record("processes", False)
         assert brs.resolve("supervised") == "serial"
         # serial is the floor: its breaker never routes traffic away.
         brs.record("serial", False)
         assert brs.resolve("serial") == "serial"
 
-    def test_chain_matches_the_lifecycle_ladder(self):
-        brs = BackendBreakers()
-        assert brs.chain == dict(DEGRADE_CHAIN)
+    def test_ladder_is_supervised_to_serial(self):
+        # the system's only degradation ladder
+        assert BackendBreakers.LADDER == {"supervised": "serial"}
 
     def test_heal_restores_the_requested_backend(self):
         clock = FakeClock()
         brs = BackendBreakers(threshold=1, cooldown=5.0, clock=clock)
-        brs.record("processes", False)
-        assert brs.resolve("processes") == "serial"
+        brs.record("supervised", False)
+        assert brs.resolve("supervised") == "serial"
         clock.advance(5.0)  # half-open: probe allowed through
-        assert brs.resolve("processes") == "processes"
-        brs.record("processes", True)
-        assert brs.resolve("processes") == "processes"
+        assert brs.resolve("supervised") == "supervised"
+        brs.record("supervised", True)
+        assert brs.resolve("supervised") == "supervised"
 
     def test_to_dict_reports_states(self):
         brs = BackendBreakers(threshold=1)
-        brs.record("processes", False)
+        brs.record("supervised", False)
         d = brs.to_dict()
-        assert d["processes"]["state"] == "open"
-        assert d["processes"]["trips"] == 1
+        assert d["supervised"]["state"] == "open"
+        assert d["supervised"]["trips"] == 1

@@ -97,6 +97,33 @@ class TestRunRequests:
         assert not resp["ok"]
         assert "tmieout" in resp["error"]
 
+    @pytest.mark.parametrize(
+        "key", ["checkpoint_dir", "phase_timeout", "resume", "deadline"]
+    )
+    def test_run_level_options_refused(self, tmp_path, key):
+        # a client's options name method keywords only: run-level
+        # Engine.run parameters (files, signals, budgets) stay the
+        # service's own.
+        ck = tmp_path / "ck"
+        value = {
+            "checkpoint_dir": str(ck),
+            "phase_timeout": 5.0,
+            "resume": [str(ck), {}, {}],
+            "deadline": 5.0,
+        }[key]
+        with SCCService() as svc:
+            resp = svc.handle(run_request(options={key: value}))
+            tuned = svc.handle(run_request(options={"queue_k": 4}))
+            stats = svc.stats()
+        assert not resp["ok"]
+        assert resp["error_type"] == "ValueError"
+        assert not resp["transient"]
+        assert key in resp["error"]
+        assert not ck.exists()
+        # the refused request never reached the engine
+        assert [s["runs"] for s in stats["sessions"].values()] == [1]
+        assert tuned["ok"] and tuned["labels_crc32"] == tarjan_crc()
+
     def test_bad_graph_fails_fast_no_retry(self):
         with SCCService() as svc:
             resp = svc.handle(run_request(graph="/no/such/file.txt"))
@@ -198,20 +225,20 @@ class TestRetryAndBreaker:
         # tripped breaker must route the retry down the ladder.
         plan = request_faults({"kind": "raise", "index": 0, "times": 1})
         with SCCService(config, fault_plan=plan, clock=clock) as svc:
-            resp = svc.handle(run_request(backend="threads"))
+            resp = svc.handle(run_request(backend="supervised"))
             assert resp["ok"], resp
-            assert resp["backend_requested"] == "threads"
+            assert resp["backend_requested"] == "supervised"
             assert resp["backend_used"] == "serial"
             assert svc.stats()["degraded_runs"] == 1
-            assert svc.breakers.breaker("threads").state == "open"
+            assert svc.breakers.breaker("supervised").state == "open"
             # later requests skip the broken backend outright.
-            resp2 = svc.handle(run_request(backend="threads"))
+            resp2 = svc.handle(run_request(backend="supervised"))
             assert resp2["ok"] and resp2["backend_used"] == "serial"
             # cooldown heals: the probe goes back to the real backend.
             clock.now = 60.0
-            resp3 = svc.handle(run_request(backend="threads"))
-            assert resp3["ok"] and resp3["backend_used"] == "threads"
-            assert svc.breakers.breaker("threads").state == "closed"
+            resp3 = svc.handle(run_request(backend="supervised"))
+            assert resp3["ok"] and resp3["backend_used"] == "supervised"
+            assert svc.breakers.breaker("supervised").state == "closed"
         assert (
             resp["labels_crc32"]
             == resp2["labels_crc32"]
