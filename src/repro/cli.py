@@ -35,11 +35,14 @@ failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
 
 import numpy as np
+
+from .ingest.consumer import RequestApplier
 
 __all__ = ["main", "build_parser"]
 
@@ -909,27 +912,15 @@ def _cmd_batch(args) -> int:
         return 2
     fault_plan = None
     if args.fault_plan:
-        import dataclasses
+        from .runtime.faults import retarget
 
-        from .runtime import FaultPlan
-
+        # This flag injects at the per-job boundary (per-task
+        # injection belongs in a job's own fault_plan field).
         try:
-            parsed = FaultPlan.parse(args.fault_plan)
+            fault_plan = retarget(args.fault_plan, "job")
         except ValueError as exc:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
-        # This flag injects at the per-job boundary; the parser's
-        # default site is the task kernel, so pin every spec to "job"
-        # (per-task injection belongs in a job's own fault_plan field).
-        # "phase"-site corrupt specs — the only legal site for
-        # run-owned labels/color — keep their site and fire at phase
-        # boundaries inside every job's run.
-        fault_plan = FaultPlan(
-            s
-            if s.kind == "corrupt" and s.site == "phase"
-            else dataclasses.replace(s, site="job")
-            for s in parsed.specs
-        )
 
     if args.job_timeout is not None:
         import dataclasses
@@ -1008,25 +999,15 @@ def _cmd_serve(args) -> int:
 
     fault_plan = None
     if args.fault_plan:
-        import dataclasses
+        from .runtime.faults import retarget
 
-        from .runtime import FaultPlan
-
+        # This flag injects at the per-request boundary (index = the
+        # request's admission sequence number).
         try:
-            parsed = FaultPlan.parse(args.fault_plan)
+            fault_plan = retarget(args.fault_plan, "request")
         except ValueError as exc:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
-        # This flag injects at the per-request boundary (index = the
-        # request's admission sequence number).  "phase"-site corrupt
-        # specs — the only legal site for run-owned labels/color —
-        # keep their site and fire inside every request's run.
-        fault_plan = FaultPlan(
-            s
-            if s.kind == "corrupt" and s.site == "phase"
-            else dataclasses.replace(s, site="request")
-            for s in parsed.specs
-        )
     governor = None
     if args.soft_limit_mb is not None or args.hard_limit_mb is not None:
         governor = GovernorConfig(
@@ -1106,71 +1087,46 @@ def _cmd_serve(args) -> int:
         )
 
 
-class _DaemonApplier:
-    """Apply stream batches through a serve daemon's Unix socket.
+def _daemon_request(path, request: dict) -> dict:
+    """One request over a serve daemon's Unix socket, one connection
+    per request (the socket transport's contract)."""
+    import socket as socketlib
 
-    One connection per batch (the socket transport's contract);
-    shed/refused responses come back as ``ok=False`` dicts the
-    consumer's backpressure loop understands.
-    """
+    try:
+        with socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM) as s:
+            s.settimeout(60.0)
+            s.connect(path)
+            s.sendall((json.dumps(request) + "\n").encode())
+            buf = bytearray()
+            while b"\n" not in buf:
+                chunk = s.recv(1 << 16)
+                if not chunk:
+                    break
+                buf += chunk
+    except OSError as exc:
+        # daemon gone mid-stream: surface as a shed so the consumer's
+        # backpressure loop retries under backoff.
+        return {
+            "ok": False,
+            "error": f"daemon unreachable: {exc}",
+            "error_type": "ServiceOverloadError",
+        }
+    if not buf:
+        return {
+            "ok": False,
+            "error": "daemon closed the connection",
+            "error_type": "ServiceOverloadError",
+        }
+    return json.loads(bytes(buf).decode())
+
+
+class _DaemonApplier(RequestApplier):
+    """Apply stream batches through a serve daemon's Unix socket."""
 
     def __init__(self, path, graph, scale, on_error) -> None:
-        self.path = path
-        self.graph = graph
-        self.scale = scale
-        self.on_error = on_error
-
-    def _send(self, request: dict) -> dict:
-        import socket as socketlib
-
-        try:
-            with socketlib.socket(
-                socketlib.AF_UNIX, socketlib.SOCK_STREAM
-            ) as s:
-                s.settimeout(60.0)
-                s.connect(self.path)
-                s.sendall((json.dumps(request) + "\n").encode())
-                buf = bytearray()
-                while b"\n" not in buf:
-                    chunk = s.recv(1 << 16)
-                    if not chunk:
-                        break
-                    buf += chunk
-        except OSError as exc:
-            # daemon gone mid-stream: surface as a shed so the
-            # consumer's backpressure loop retries under backoff.
-            return {
-                "ok": False,
-                "error": f"daemon unreachable: {exc}",
-                "error_type": "ServiceOverloadError",
-            }
-        if not buf:
-            return {
-                "ok": False,
-                "error": "daemon closed the connection",
-                "error_type": "ServiceOverloadError",
-            }
-        return json.loads(bytes(buf).decode())
-
-    def _request(self, **fields) -> dict:
-        req = {"op": "update", "graph": self.graph}
-        if self.scale is not None:
-            req["scale"] = self.scale
-        if self.on_error is not None:
-            req["on_error"] = self.on_error
-        req.update(fields)
-        return req
-
-    def apply_batch(self, inserts, deletes) -> dict:
-        return self._send(
-            self._request(
-                inserts=[list(e) for e in inserts],
-                deletes=[list(e) for e in deletes],
-            )
+        super().__init__(
+            functools.partial(_daemon_request, path), graph, scale, on_error
         )
-
-    def compact(self) -> dict:
-        return self._send(self._request(compact=True))
 
 
 def _cmd_stream(args) -> int:
@@ -1180,32 +1136,17 @@ def _cmd_stream(args) -> int:
 
     fault_plan = None
     if args.fault_plan:
-        import dataclasses
+        from .runtime.faults import retarget
 
-        from .runtime import FaultPlan
-        from .runtime.faults import NETWORK_KINDS
-
+        # network-kind specs fire inside the source at the "stream"
+        # site (index = the source's read sequence number).
         try:
-            parsed = FaultPlan.parse(args.fault_plan)
+            fault_plan = retarget(
+                args.fault_plan, "stream", hang_seconds=args.stall_seconds
+            )
         except ValueError as exc:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
-        # network-kind specs fire inside the source at the "stream"
-        # site (index = the source's read sequence number).
-        fault_plan = FaultPlan(
-            dataclasses.replace(
-                s,
-                site="stream",
-                hang_seconds=(
-                    args.stall_seconds
-                    if args.stall_seconds is not None
-                    else s.hang_seconds
-                ),
-            )
-            if s.kind in NETWORK_KINDS
-            else s
-            for s in parsed.specs
-        )
     source_kwargs = {
         "fault_plan": fault_plan,
         "max_reconnects": args.max_reconnects,

@@ -430,59 +430,21 @@ def _run_job(
 ):
     """One job body: resolve the session, run, return the essentials."""
     from ..errors import IntegrityError
-    from ..runtime.faults import FaultPlan, apply_corruption
-    from ..runtime.supervisor import SupervisorConfig
+    from ..runtime.faults import run_faults
     from .engine import check_method_options
 
     check_method_options(job.method, job.options)
     session = engine.load(
         job.graph, scale=job.scale, seed=None, on_error=job.on_error
     )
-    backend = job.backend
-    supervisor = None
-    run_fault_plan = None
-    corrupt_specs = []
-    if job.fault_plan:
-        plan = FaultPlan.parse(job.fault_plan)
-        # job-carried specs target *this* job regardless of site/index.
-        corrupt_specs += [s for s in plan.specs if s.kind == "corrupt"]
-        rest = [s for s in plan.specs if s.kind != "corrupt"]
-        if rest:
-            # only the supervised backend recovers from the rest.
-            backend = "supervised"
-            supervisor = SupervisorConfig(fault_plan=FaultPlan(rest))
-    if batch_plan is not None:
-        # batch-level --fault-plan: "job"-site corruptions pick their
-        # job by manifest position; "phase"-site ones (the only legal
-        # site for run-owned labels/color) ride along into every job.
-        corrupt_specs += list(
-            batch_plan.corruptions("job", job_index, attempt)
-        )
-        corrupt_specs += [
-            s
-            for s in batch_plan.specs
-            if s.kind == "corrupt" and s.site == "phase"
-        ]
-    if corrupt_specs:
-        # "phase"-site corruptions fire at exact phase boundaries
-        # inside the engine; anything else rots the warm session right
-        # now (attempt < times, so the default 1 lets the retry's
-        # rebuilt session through clean).
-        phase_specs = [
-            s
-            for s in corrupt_specs
-            if s.site == "phase" and attempt < s.times
-        ]
-        if phase_specs:
-            run_fault_plan = FaultPlan(phase_specs)
-        for spec in corrupt_specs:
-            if spec.site == "phase" or attempt >= spec.times:
-                continue
-            if spec.array in ("in_indptr", "in_indices"):
-                session.ensure_transpose()
-            elif spec.array in ("out_degrees", "in_degrees"):
-                session.effective_degrees()
-            apply_corruption(session.integrity_arrays()[spec.array], spec)
+    # job-carried specs target *this* job regardless of site/index; the
+    # batch-level --fault-plan's "job"-site corruptions pick their job
+    # by manifest position, and its "phase"-site ones ride into every
+    # job's run.
+    faults = run_faults(
+        job.fault_plan, attempt, plan=batch_plan, site="job", index=job_index
+    )
+    faults.corrupt(session)
     runs_before = session.stats.runs
     warm_before = session.stats.warm_runs
 
@@ -490,14 +452,14 @@ def _run_job(
         return engine.run(
             session,
             method=job.method,
-            backend=backend,
+            backend=faults.backend or job.backend,
             num_workers=job.workers,
             seed=job.seed,
-            supervisor=supervisor,
+            supervisor=faults.supervisor,
             # cooperative twin of the SIGALRM job guard: enforced at
             # phase boundaries even off the main thread.
             deadline=job.timeout,
-            fault_plan=run_fault_plan,
+            fault_plan=faults.phase_plan,
             **job.options,
         )
 

@@ -242,7 +242,8 @@ class Engine:
         Canonicalize result labels (default True; see module docstring).
     max_sessions:
         Session-cache capacity; least-recently-used sessions beyond it
-        are closed and evicted.
+        are closed and evicted — except mutable ones, whose committed
+        edits no source can rebuild.
     integrity:
         Seal session arrays into block-CRC sidecars
         (:mod:`repro.integrity.checksums`) and verify them at session
@@ -371,11 +372,31 @@ class Engine:
         return (st.st_mtime_ns, st.st_size)
 
     def _admit(self, key: int, sess: GraphSession) -> None:
+        # make room first, so the new session is never its own victim.
+        self._sessions.pop(key, None)
+        self._evict(self.max_sessions - 1)
         self._sessions[key] = sess
-        self._sessions.move_to_end(key)
-        while len(self._sessions) > self.max_sessions:
-            _, evicted = self._sessions.popitem(last=False)
-            evicted.close()
+
+    def _evict(self, keep: int, count: Optional[int] = None) -> int:
+        """Close least-recently-used sessions while more than ``keep``
+        are cached, at most ``count`` of them; returns how many went.
+
+        Mutable sessions are never evicted: their committed edits live
+        nowhere else, and a reload from source would silently answer
+        from the pre-update graph.  They may push the cache past
+        ``max_sessions``; the memory governor's hard-limit refusal
+        still bounds what they pin.
+        """
+        evicted = 0
+        for key, sess in list(self._sessions.items()):
+            if len(self._sessions) <= keep or evicted == count:
+                break
+            if sess.mutable:
+                continue
+            del self._sessions[key]
+            sess.close()
+            evicted += 1
+        return evicted
 
     def set_max_sessions(self, max_sessions: int) -> int:
         """Rebalance the session-cache capacity at runtime.
@@ -389,12 +410,7 @@ class Engine:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.max_sessions = max_sessions
-        evicted = 0
-        while len(self._sessions) > self.max_sessions:
-            _, sess = self._sessions.popitem(last=False)
-            sess.close()
-            evicted += 1
-        return evicted
+        return self._evict(max_sessions)
 
     def evict_lru(self, count: int = 1) -> int:
         """Close and drop up to ``count`` least-recently-used sessions.
@@ -404,12 +420,7 @@ class Engine:
         caches self-heal: a later request for an evicted graph loads a
         fresh session.
         """
-        evicted = 0
-        while self._sessions and evicted < count:
-            _, sess = self._sessions.popitem(last=False)
-            sess.close()
-            evicted += 1
-        return evicted
+        return self._evict(0, count)
 
     def quarantine(self, fingerprint: int) -> bool:
         """Evict one session *because its bytes can no longer be

@@ -5,7 +5,7 @@ pulls byte chunks from a :class:`~repro.ingest.sources.StreamSource`,
 parses them through a :class:`~repro.ingest.parser.RecordParser`,
 batches the resulting edits by **count and age**, and hands each batch
 to an *applier* — in-process :class:`EngineApplier` driving
-:meth:`repro.engine.Engine.update`, or a network applier posting
+:meth:`repro.engine.Engine.update`, or :class:`RequestApplier` posting
 ``update`` requests at a serve daemon.  After every applied batch it
 commits a CRC-guarded :class:`~repro.ingest.checkpoint.Watermark`, so
 a SIGKILL'd consumer resumes without re-applying committed edits.
@@ -42,7 +42,7 @@ actually cares about.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError, ServiceOverloadError
 from ..service.retry import RetryPolicy
@@ -50,7 +50,7 @@ from .checkpoint import StreamCheckpoint, Watermark
 from .parser import EdgeRecord, RecordParser
 from .sources import StreamSource
 
-__all__ = ["StreamConsumer", "EngineApplier"]
+__all__ = ["StreamConsumer", "EngineApplier", "RequestApplier"]
 
 #: response error types the consumer treats as *pause and retry*
 #: rather than fatal: the service is alive but shedding load.
@@ -122,6 +122,51 @@ class EngineApplier:
         except ReproError as exc:
             return self._refused(exc)
         return self._response(report)
+
+
+class RequestApplier:
+    """Remote applier: each batch becomes one ``update`` request.
+
+    ``send(request) -> response`` delivers it — a serve daemon's socket
+    (``repro stream --connect``) or a service's own request pipeline
+    (the ``stream`` op) — so streamed batches pay admission, land
+    journal stamps, and pin to the worker owning the mutable session
+    exactly like client-sent updates.  Shed or refused requests come
+    back as ``ok=False`` responses the consumer's backpressure loop
+    understands.
+    """
+
+    def __init__(
+        self,
+        send: Callable[[dict], dict],
+        graph: str,
+        scale: Optional[float] = None,
+        on_error: Optional[str] = None,
+    ) -> None:
+        self.send = send
+        self.graph = graph
+        self.scale = scale
+        self.on_error = on_error
+
+    def _request(self, **fields) -> dict:
+        req = {"op": "update", "graph": self.graph}
+        if self.scale is not None:
+            req["scale"] = self.scale
+        if self.on_error is not None:
+            req["on_error"] = self.on_error
+        req.update(fields)
+        return req
+
+    def apply_batch(self, inserts, deletes) -> dict:
+        return self.send(
+            self._request(
+                inserts=[list(e) for e in inserts],
+                deletes=[list(e) for e in deletes],
+            )
+        )
+
+    def compact(self) -> dict:
+        return self.send(self._request(compact=True))
 
 
 class StreamConsumer:

@@ -59,11 +59,12 @@ single ``is not None`` test.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +76,10 @@ __all__ = [
     "FaultInjected",
     "FaultSpec",
     "FaultPlan",
+    "RunFaults",
     "apply_corruption",
+    "retarget",
+    "run_faults",
 ]
 
 #: network failure modes (applied by stream sources, never by
@@ -359,6 +363,102 @@ class FaultPlan:
             f"{s.kind}@{s.site}:{s.index}:{s.stage}" for s in self.specs
         )
         return f"FaultPlan({inner})"
+
+
+def retarget(
+    text: str, site: str, *, hang_seconds: Optional[float] = None
+) -> FaultPlan:
+    """Parse a plan string pinned to the one site a flag injects at.
+
+    For ``"job"``/``"request"`` every spec moves except ``"phase"``-
+    site ``corrupt`` specs, the only legal site for run-owned
+    labels/color.  For ``"stream"`` only the :data:`NETWORK_KINDS`
+    move (sources apply nothing else), and a truthy ``hang_seconds``
+    becomes their stall duration.
+    """
+
+    def moves(spec: FaultSpec) -> bool:
+        if site == "stream":
+            return spec.kind in NETWORK_KINDS
+        return not (spec.kind == "corrupt" and spec.site == "phase")
+
+    extra = {"hang_seconds": hang_seconds} if hang_seconds else {}
+    return FaultPlan(
+        dataclasses.replace(s, site=site, **extra) if moves(s) else s
+        for s in FaultPlan.parse(text).specs
+    )
+
+
+@dataclass(frozen=True)
+class RunFaults:
+    """The slice of fault plans one run attempt carries.
+
+    ``backend`` is ``"supervised"`` when ``supervisor`` (a
+    :class:`~repro.runtime.supervisor.SupervisorConfig`) arms task-
+    kernel faults; ``phase_plan`` fires inside :meth:`repro.engine.
+    Engine.run`; ``flips`` are the ``corrupt`` specs :meth:`corrupt`
+    drives into the warm session before the run.
+    """
+
+    supervisor: Any = None
+    phase_plan: Optional[FaultPlan] = None
+    flips: tuple = ()
+
+    @property
+    def backend(self) -> Optional[str]:
+        # only the supervised executor recovers from task faults.
+        return "supervised" if self.supervisor is not None else None
+
+    def corrupt(self, session) -> None:
+        """Apply the armed bit flips to ``session``'s sealed arrays."""
+        for spec in self.flips:
+            if spec.array in ("in_indptr", "in_indices"):
+                session.ensure_transpose()
+            elif spec.array in ("out_degrees", "in_degrees"):
+                session.effective_degrees()
+            apply_corruption(session.integrity_arrays()[spec.array], spec)
+
+
+def run_faults(
+    carried: Optional[str] = None,
+    attempt: int = 0,
+    *,
+    plan: Optional[FaultPlan] = None,
+    site: str = "request",
+    index: int = 0,
+) -> RunFaults:
+    """The fault slice of one run attempt (a serve request, a batch job).
+
+    ``carried`` is the request's or job's own plan string: its specs
+    target *this* run whatever their site and index.  ``plan`` is the daemon-
+    or batch-level plan: its ``corrupt`` specs armed for ``(site,
+    index, attempt)`` join the slice, and so do its ``"phase"``-site
+    ones, which ride into every run.  Every ``corrupt`` spec is
+    ``times``-gated by ``attempt`` — the default ``times=1`` rots the
+    first attempt and lets the retry's rebuilt session through.
+    """
+    corrupt: List[FaultSpec] = []
+    supervisor = None
+    if carried:
+        specs = FaultPlan.parse(carried).specs
+        corrupt += [s for s in specs if s.kind == "corrupt"]
+        rest = [s for s in specs if s.kind != "corrupt"]
+        if rest:
+            from .supervisor import SupervisorConfig
+
+            supervisor = SupervisorConfig(fault_plan=FaultPlan(rest))
+    if plan is not None:
+        corrupt += plan.corruptions(site, index, attempt)
+        corrupt += [
+            s for s in plan.specs if s.kind == "corrupt" and s.site == "phase"
+        ]
+    armed = [s for s in corrupt if attempt < s.times]
+    phase = [s for s in armed if s.site == "phase"]
+    return RunFaults(
+        supervisor=supervisor,
+        phase_plan=FaultPlan(phase) if phase else None,
+        flips=tuple(s for s in armed if s.site != "phase"),
+    )
 
 
 def apply_corruption(array: np.ndarray, spec: FaultSpec) -> List[int]:

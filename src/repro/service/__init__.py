@@ -67,7 +67,6 @@ __all__ = [
     "RequestJournal",
     "JournalRecovery",
     "scan_journal",
-    "WorkerTierConfig",
     "WorkerSupervisor",
     "HashRing",
     "routing_fingerprint",
@@ -82,7 +81,6 @@ _LAZY = {
     "RequestJournal": "journal",
     "JournalRecovery": "journal",
     "scan_journal": "journal",
-    "WorkerTierConfig": "workers",
     "WorkerSupervisor": "workers",
     "HashRing": "workers",
     "routing_fingerprint": "workers",

@@ -157,12 +157,17 @@ class MemoryGovernor:
 
                 released += int(mm.worker_bytes * pool.num_workers)
                 self.pools_released += 1
-        # Pass 2: whole sessions, LRU first, keeping min_sessions warm.
+        # Pass 2: whole sessions, LRU first, keeping min_sessions warm
+        # (mutable sessions are never evicted: see Engine._evict).
         while (
             released < overshoot
             and len(self.engine.sessions) > self.config.min_sessions
         ):
-            victim = self.engine.sessions[0]
+            victim = next(
+                (s for s in self.engine.sessions if not s.mutable), None
+            )
+            if victim is None:
+                break
             released += victim.estimated_bytes()
             self.sessions_evicted += self.engine.evict_lru(1)
         return released

@@ -7,29 +7,37 @@ one request per connection on a Unix socket)::
      "backend": "supervised", "deadline": 5.0, "id": "r1"}
     {"op": "update", "graph": "wiki", "scale": 0.1,
      "inserts": [[0, 7], [7, 0]], "deletes": [[3, 4]], "id": "u1"}
+    {"op": "analysis", "graph": "wiki", "scale": 0.1, "kind": "bowtie"}
+    {"op": "stream", "action": "attach", "graph": "wiki",
+     "source": "tail:/var/feed.txt"}
     {"op": "health"}
     {"op": "stats"}
     {"op": "shutdown"}
 
-Every ``run`` request flows through the full hardening stack, in
-order:
+``run``, ``update`` and ``analysis`` requests flow through one
+pipeline (:meth:`SCCService._serve`), in order:
 
-1. **admission** (:mod:`repro.service.govern`) — queue-depth shedding,
-   cost-model memory refusal, and the memory governor's RSS veto, all
-   *before* any work starts;
-2. **deadline** — the per-request budget is converted to an absolute
-   expiry at admission and the *remaining* budget is propagated into
-   the engine's phase deadlines on every attempt, so retries never
-   extend a request past its deadline;
-3. **retry** (:mod:`repro.service.retry`) — transient failures
-   (broken pool, phase timeout, injected chaos) back off and retry;
-   permanent ones (bad input) fail fast with their typed exit code;
-4. **circuit breaker** — consecutive transient failures on a backend
-   trip its breaker, and subsequent requests degrade down the one
-   supervised -> serial ladder until the cooldown probe heals it;
-5. **governor** (:mod:`repro.service.governor`) — RSS sampled per
-   request; pressure evicts warm pools/sessions, hard-limit overshoot
-   refuses admission.
+1. **check** — the request's keys against its op's row of
+   :data:`OP_KEYS`, plus the op's own validation (method options,
+   edge pairs, analysis kind), before anything is spent;
+2. **admit** (:mod:`repro.service.govern`) — queue-depth shedding,
+   cost-model memory refusal, and the memory governor's RSS veto;
+3. **journal** ``accepted`` — from here the request must complete or
+   shed;
+4. **attempt** — ``run`` only: the retry policy
+   (:mod:`repro.service.retry`) re-runs transient failures with
+   deterministic backoff; every attempt resolves its backend through
+   the circuit breakers (supervised -> serial under failure), fires
+   the daemon plan's request-site fault, and hands on only the
+   *remaining* deadline, so retries never extend a request past it.
+   ``update`` and ``analysis`` get exactly one attempt;
+5. **route** — to the worker fleet when it is up
+   (:mod:`repro.service.workers`), else to the local dispatch
+   (:meth:`EngineHost.dispatch`): engine turnstile, session load, the
+   request's fault slice, and one plain handler per op over (engine,
+   session, request);
+6. **journal** ``completed`` or ``shed``;
+7. **respond**.
 
 Responses carry ``labels_crc32`` — the CRC of the canonical label
 array — so clients (and the chaos tests) can verify bit-identical
@@ -42,11 +50,11 @@ with typed :class:`~repro.errors.ServiceOverloadError` responses, and
 atomically writes a final stats report before exiting 0.
 
 **Sharded tier**: with ``worker_processes > 1`` (``repro serve
---workers N``) the same front fans admitted requests out to N forked
-engine workers (:mod:`repro.service.workers`) with warm-session
-affinity, crash failover replayed from a request journal
-(:mod:`repro.service.journal`), and a two-phase drain that merges
-every shard's stats into the final report; see DESIGN.md §12.
+--workers N``) the route step sends admitted requests to N forked
+workers, each running the same local dispatch over its own engine,
+with warm-session affinity, crash failover replayed from the request
+journal (:mod:`repro.service.journal`), and a two-phase drain that
+merges every shard's stats into the final report; see DESIGN.md §12.
 """
 
 from __future__ import annotations
@@ -64,11 +72,11 @@ from typing import Optional, Tuple
 from ..errors import (
     IntegrityError,
     PhaseTimeoutError,
-    ReproError,
     ServiceOverloadError,
     exit_code_for,
 )
 from ..ioutil import crc32_chunks
+from ..runtime.faults import run_faults
 from .govern import (
     AdmissionConfig,
     AdmissionController,
@@ -79,95 +87,37 @@ from .retry import BackendBreakers, RetryPolicy, classify_failure
 
 __all__ = [
     "ServiceConfig",
+    "EngineHost",
     "SCCService",
     "serve_stdin",
     "serve_socket",
 ]
 
-#: request keys a ``run`` request may carry; ``options`` may name only
-#: method keywords (:func:`repro.engine.engine.check_method_options`).
-_RUN_KEYS = frozenset(
-    (
-        "op",
-        "id",
-        "graph",
-        "method",
-        "backend",
-        "workers",
-        "seed",
-        "scale",
-        "on_error",
-        "deadline",
-        "options",
-        "nodes",
-        "edges",
-        "fault_plan",
-        "certify",
-    )
-)
-
-#: request keys an ``update`` request may carry.  Updates are streamed
-#: edge mutations against a (promoted-to-)mutable warm session; see
-#: :meth:`repro.engine.Engine.update` and DESIGN.md §15.
-_UPDATE_KEYS = frozenset(
-    (
-        "op",
-        "id",
-        "graph",
-        "scale",
-        "on_error",
-        "inserts",
-        "deletes",
-        "compact",
-        "compact_ratio",
-        "damage_threshold",
-        "nodes",
-        "edges",
-    )
-)
-
-#: request keys a ``stream`` request may carry.  Streams attach a live
-#: edge feed to a warm mutable session; see :mod:`repro.ingest` and
-#: DESIGN.md §16.
-_STREAM_KEYS = frozenset(
-    (
-        "op",
-        "id",
-        "action",
-        "name",
-        "graph",
-        "scale",
-        "on_error",
-        "source",
-        "checkpoint",
-        "batch_edges",
-        "batch_age",
-        "max_batches",
-        "dedup_window",
-        "degrade_log_ratio",
-        "max_reconnects",
-        "read_timeout",
-        "stall_timeout",
-        "stall_seconds",
-        "fault_plan",
-    )
-)
-
-#: request keys an ``analysis`` request may carry.  Analyses run the
-#: structure suite (bow-tie, SCC histograms, clustering) over the
-#: session's *current* labels — live-maintained when a stream feeds it.
-_ANALYSIS_KEYS = frozenset(
-    (
-        "op",
-        "id",
-        "graph",
-        "scale",
-        "on_error",
-        "kind",
-        "samples",
-        "seed",
-    )
-)
+#: request keys each op may carry.  A ``run``'s ``options`` may name
+#: only method keywords (:func:`repro.engine.engine.check_method_options`);
+#: ``update`` streams edge mutations into a mutable warm session
+#: (DESIGN.md §15); ``analysis`` runs the structure suite over the
+#: session's *current* labels; ``stream`` attaches a live edge feed
+#: (:mod:`repro.ingest`, DESIGN.md §16).
+OP_KEYS = {
+    "run": frozenset(
+        "op id graph scale on_error method backend workers seed deadline "
+        "options nodes edges fault_plan certify".split()
+    ),
+    "update": frozenset(
+        "op id graph scale on_error inserts deletes compact compact_ratio "
+        "damage_threshold nodes edges".split()
+    ),
+    "analysis": frozenset(
+        "op id graph scale on_error kind samples seed".split()
+    ),
+    "stream": frozenset(
+        "op id graph scale on_error action name source checkpoint "
+        "batch_edges batch_age max_batches dedup_window degrade_log_ratio "
+        "max_reconnects read_timeout stall_timeout stall_seconds "
+        "fault_plan".split()
+    ),
+}
 
 #: analysis kinds the ``analysis`` op accepts.
 ANALYSIS_KINDS = ("summary", "histogram", "bowtie", "clustering")
@@ -216,11 +166,11 @@ class ServiceConfig:
     def shard(self) -> "ServiceConfig":
         """The per-worker slice of this config.
 
-        Each forked worker runs its own :class:`SCCService` built from
-        this: single-engine (no nested tier, no journal — the front
-        owns the ledger), and with the session cache and the governor's
-        memory limits divided by the fleet size so N workers together
-        respect the *one* budget the operator configured.
+        Each forked worker builds its :class:`EngineHost` from this:
+        single-engine (no nested tier, no journal — the front owns the
+        ledger), and with the session cache and the governor's memory
+        limits divided by the fleet size so N workers together respect
+        the *one* budget the operator configured.
         """
         import dataclasses
 
@@ -246,21 +196,206 @@ class ServiceConfig:
             journal_path=None,
             max_sessions=max(1, self.max_sessions // n),
             governor=governor,
-            # the front audits end-to-end (it sees the final CRCs);
-            # workers auditing their own answers would double the cost
-            # without widening coverage.
+            # the front audits end-to-end (it sees the final CRCs).
             audit_rate=0.0,
         )
 
 
-class SCCService:
-    """The hardened serving core (transport-agnostic).
+def _edge_pairs(raw, what: str) -> list:
+    """Validate a request's edge list into ``(u, v)`` int pairs."""
+    pairs = []
+    for item in raw or ():
+        try:
+            u, v = item
+            pairs.append((int(u), int(v)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"bad {what} entry {item!r}: need [u, v] integer pairs"
+            ) from exc
+    return pairs
 
-    :meth:`handle` maps one request dict to one response dict and is
-    safe to call from many threads at once: admission bounds how many
-    requests may wait, the internal turnstile serializes engine access
-    (warm sessions are not thread-safe), and :meth:`drain` sheds the
-    waiters while the in-flight request finishes.
+
+def error_response(request: dict, exc: Exception) -> dict:
+    """The typed ``ok: false`` answer for one failed request."""
+    outcome = getattr(exc, "__retry_outcome__", None)
+    error_type = type(exc).__name__
+    exit_code = exit_code_for(exc)
+    message = str(exc) or error_type
+    remote = getattr(exc, "response", None)
+    if isinstance(remote, dict) and "error_type" in remote:
+        # a worker's typed failure: surface the original taxonomy,
+        # not the RemoteRequestError envelope it crossed the pipe in.
+        error_type = remote["error_type"]
+        exit_code = int(remote.get("exit_code", exit_code))
+        message = remote.get("error", message)
+    return {
+        "op": request.get("op", "run"),
+        "id": request.get("id"),
+        "ok": False,
+        "shed": isinstance(exc, ServiceOverloadError),
+        "error": message,
+        "error_type": error_type,
+        "exit_code": exit_code,
+        "transient": classify_failure(exc) == "transient",
+        "attempts": outcome.attempts if outcome is not None else 0,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Op handlers: plain functions over (engine, session, request, faults)
+# ---------------------------------------------------------------------------
+def _run(engine, session, request: dict, faults) -> dict:
+    runs_before = session.stats.runs
+    warm_before = session.stats.warm_runs
+    # read inside the turnstile: an update committing once the turn
+    # ends must not restamp this run's answer.
+    version = session.version
+    result = engine.run(
+        session,
+        method=request.get("method", "method2"),
+        backend=request.get("backend"),
+        num_workers=request.get("workers"),
+        seed=request.get("seed", 0),
+        supervisor=faults.supervisor,
+        deadline=request.get("deadline"),
+        fault_plan=faults.phase_plan,
+        **(request.get("options") or {}),
+    )
+    response = {
+        "op": "run",
+        "ok": True,
+        "graph": request["graph"],
+        "method": request.get("method", "method2"),
+        "num_sccs": result.num_sccs,
+        "largest_scc": result.largest_scc_size(),
+        "giant_fraction": result.giant_fraction(),
+        "labels_crc32": crc32_chunks(result.labels.tobytes()),
+        "session_fingerprint": session.fingerprint,
+        "graph_version": version,
+    }
+    if request.get("certify"):
+        from ..integrity import certify_result
+
+        level = request["certify"]
+        certificate = certify_result(
+            session.graph,
+            result.labels,
+            level="sample" if level is True else str(level),
+            seed=int(request.get("seed", 0) or 0),
+        )
+        # pin the certificate to the exact graph state it proves:
+        # mutable sessions advance this per applied update batch.
+        certificate["graph_version"] = version
+        response["certificate"] = certificate
+    response["warm"] = (
+        session.stats.runs == runs_before + 1
+        and session.stats.warm_runs == warm_before + 1
+    )
+    return response
+
+
+def _update(engine, session, request: dict, faults) -> dict:
+    if request.get("compact"):
+        # explicit degrade-to-snapshot: fold the delta log now (a
+        # streaming consumer over its compaction-debt budget sends it).
+        report = engine.compact(session)
+    else:
+        report = engine.update(
+            session,
+            _edge_pairs(request.get("inserts"), "inserts"),
+            _edge_pairs(request.get("deletes"), "deletes"),
+            compact_ratio=request.get("compact_ratio"),
+            damage_threshold=request.get("damage_threshold"),
+        )
+    return {
+        "op": "update",
+        "ok": True,
+        "graph": request["graph"],
+        "graph_version": report.version,
+        "applied": report.applied,
+        "changed": report.changed,
+        "compacted": report.compacted,
+        "inserts": report.inserts,
+        "deletes": report.deletes,
+        "num_sccs": report.num_components,
+        "labels_crc32": report.labels_crc32,
+        "session_fingerprint": report.fingerprint,
+        "stats": report.stats,
+        "log_ratio": report.log_ratio,
+    }
+
+
+def _analysis(engine, session, request: dict, faults) -> dict:
+    """One structure analysis over the session's current labels — the
+    live, incrementally maintained ones on a mutable session (its
+    ``graph_version`` names the update epoch); a cold session pays one
+    full detection first."""
+    import dataclasses
+
+    import numpy as np
+
+    from .. import analysis
+    from ..core.result import canonical_labels
+
+    if session.dynamic is not None:
+        labels = canonical_labels(
+            np.ascontiguousarray(session.dynamic.labels, dtype=np.int64)
+        )
+    else:
+        labels = engine.run(session).labels
+    kind = request.get("kind", "summary")
+    if kind == "summary":
+        result = dataclasses.asdict(analysis.summarize_scc_structure(labels))
+    elif kind == "histogram":
+        hist = analysis.size_histogram(labels)
+        result = {
+            "sizes": {str(k): int(v) for k, v in sorted(hist.items())},
+            "giant_fraction": analysis.giant_fraction(labels),
+        }
+    elif kind == "bowtie":
+        tie = analysis.bowtie_decomposition(session.graph, labels)
+        result = dict(
+            tie.fractions(),
+            counts={
+                "core": tie.core,
+                "in": tie.inset,
+                "out": tie.outset,
+                "other": tie.other,
+            },
+        )
+    else:  # clustering
+        result = {
+            "average_clustering": analysis.average_clustering(
+                session.graph,
+                samples=int(request.get("samples", 200)),
+                rng=int(request.get("seed", 0)),
+            )
+        }
+    return {
+        "op": "analysis",
+        "ok": True,
+        "kind": kind,
+        "graph": request["graph"],
+        "graph_version": session.version,
+        "num_sccs": int(labels.max()) + 1 if labels.size else 0,
+        "result": result,
+    }
+
+
+_HANDLERS = {"run": _run, "update": _update, "analysis": _analysis}
+
+
+class EngineHost:
+    """One engine behind a turnstile: where every op attempt executes.
+
+    The in-process service is one (:class:`SCCService` extends it);
+    each forked worker of the sharded tier is another, driven by the
+    front over a pipe.  :meth:`dispatch` serializes engine access
+    (warm sessions are not thread-safe; waiters shed on drain), loads
+    the session, applies the request's fault slice and calls its op's
+    handler.  Detected corruption quarantines the session (or, with
+    ``on_corruption="fail"``, turns the failure permanent), and every
+    completed op ends with the memory governor's pressure relief.
     """
 
     def __init__(
@@ -291,6 +426,125 @@ class SCCService:
             if cfg.governor is not None
             else None
         )
+        #: daemon-level chaos plan; its "request"-site specs match the
+        #: request's admission sequence number.
+        self.fault_plan = fault_plan
+        self._cond = threading.Condition()
+        self._active = False
+        self._shedding = False
+        self.integrity_detected = 0
+        self.integrity_quarantines = 0
+
+    @contextmanager
+    def _engine_turn(self):
+        """Serialize engine access; queued waiters shed on drain."""
+        with self._cond:
+            while self._active and not self._shedding:
+                self._cond.wait(0.05)
+            if self._shedding:
+                raise ServiceOverloadError(
+                    "service draining; queued request shed",
+                    reason="draining",
+                )
+            self._active = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._active = False
+                self._cond.notify_all()
+
+    def dispatch(self, request: dict, seq: int = 0, attempt: int = 0) -> dict:
+        """Execute one attempt of a checked request on this engine."""
+        with self._engine_turn():
+            session = self.engine.load(
+                request["graph"],
+                scale=request.get("scale"),
+                seed=None,
+                on_error=request.get("on_error", "strict"),
+            )
+            try:
+                faults = run_faults(
+                    request.get("fault_plan"),
+                    attempt,
+                    plan=self.fault_plan,
+                    site="request",
+                    index=seq,
+                )
+                faults.corrupt(session)
+                response = _HANDLERS[request.get("op", "run")](
+                    self.engine, session, request, faults
+                )
+            except IntegrityError as exc:
+                # corruption (or a failed certificate) caught before any
+                # response: quarantine the rotten session so a retry
+                # rebuilds from source, or fail typed when the operator
+                # asked for loud failures.
+                self.integrity_detected += 1
+                if self.config.on_corruption == "quarantine":
+                    if self.engine.quarantine(session.fingerprint):
+                        self.integrity_quarantines += 1
+                else:
+                    exc.transient_hint = False
+                raise
+        if self.governor is not None:
+            self.governor.relieve()
+        return response
+
+    def stats(self) -> dict:
+        """The engine-side slice of the stats: sessions, integrity,
+        governor."""
+        sessions = self.engine.sessions
+        return {
+            "integrity": {
+                "checksums": self.config.checksums,
+                "on_corruption": self.config.on_corruption,
+                "detected": self.integrity_detected,
+                "quarantines": self.integrity_quarantines,
+                "engine_quarantines": self.engine.quarantines,
+                "verifications": sum(
+                    s.stats.integrity_verifications for s in sessions
+                ),
+            },
+            "governor": (
+                self.governor.to_dict() if self.governor else None
+            ),
+            "sessions": {
+                f"{s.fingerprint:#010x}": dict(
+                    s.stats.to_dict(),
+                    name=s.name,
+                    estimated_bytes=s.estimated_bytes(),
+                )
+                for s in sessions
+            },
+        }
+
+    def close(self) -> None:
+        self.engine.close()
+
+
+class SCCService(EngineHost):
+    """The hardened serving core (transport-agnostic).
+
+    :meth:`handle` maps one request dict to one response dict and is
+    safe to call from many threads at once: admission bounds how many
+    requests may wait, the engine turnstile serializes engine access,
+    and :meth:`drain` sheds the waiters while the in-flight request
+    finishes.
+    """
+
+    def __init__(
+        self,
+        config: Optional[ServiceConfig] = None,
+        *,
+        engine=None,
+        fault_plan=None,
+        clock=time.monotonic,
+    ) -> None:
+        super().__init__(
+            config, engine=engine, fault_plan=fault_plan, clock=clock
+        )
+        cfg = self.config
         self.admission = AdmissionController(
             cfg.admission,
             refusal_hook=(
@@ -302,9 +556,6 @@ class SCCService:
             cooldown=cfg.breaker_cooldown,
             clock=clock,
         )
-        #: service-level chaos channel, fired at the "request" site
-        #: with the request's admission sequence number as the index.
-        self.fault_plan = fault_plan
         self.journal = None
         if cfg.journal_path:
             from .journal import RequestJournal
@@ -315,16 +566,10 @@ class SCCService:
             from ..engine.pool import fork_available
 
             if fork_available():
-                from .workers import WorkerSupervisor, WorkerTierConfig
+                from .workers import WorkerSupervisor
 
-                tier = WorkerTierConfig(
-                    num_workers=cfg.worker_processes,
-                    heartbeat_interval=cfg.heartbeat_interval,
-                    max_worker_restarts=cfg.max_worker_restarts,
-                )
                 self.supervisor = WorkerSupervisor(
-                    cfg.shard(),
-                    tier,
+                    cfg,
                     journal=self.journal,
                     on_worker_failure=(
                         lambda backend, worker: self.breakers.record(
@@ -337,11 +582,6 @@ class SCCService:
         self._streams_lock = threading.Lock()
         self._seq = 0
         self._seq_lock = threading.Lock()
-        # engine turnstile: one request runs at a time; waiters are
-        # shed on drain.
-        self._cond = threading.Condition()
-        self._active = False
-        self._shedding = False
         self._started = clock()
         self._clock = clock
         self.auditor = None
@@ -361,8 +601,6 @@ class SCCService:
         self.retried = 0
         self.degraded_runs = 0
         self.transport_errors = 0
-        self.integrity_detected = 0
-        self.integrity_quarantines = 0
         self.certificates_issued = 0
         self.updates = 0
         self.updates_applied = 0
@@ -403,7 +641,7 @@ class SCCService:
             self.supervisor.stop()
         if self.auditor is not None:
             self.auditor.stop()
-        self.engine.close()
+        super().close()
         if self.journal is not None:
             self.journal.close()
 
@@ -434,38 +672,15 @@ class SCCService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @contextmanager
-    def _engine_turn(self):
-        """Serialize engine access; queued waiters shed on drain."""
-        with self._cond:
-            while self._active and not self._shedding:
-                self._cond.wait(0.05)
-            if self._shedding:
-                raise ServiceOverloadError(
-                    "service draining; queued request shed",
-                    reason="draining",
-                )
-            self._active = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._active = False
-                self._cond.notify_all()
-
     # -- request handling ----------------------------------------------
     def handle(self, request: dict) -> dict:
         """One request dict in, one response dict out (never raises)."""
         op = request.get("op", "run")
         try:
-            if op == "run":
-                return self._handle_run(request)
-            if op == "update":
-                return self._handle_update(request)
+            if op in _HANDLERS:
+                return self._serve(request)
             if op == "stream":
                 return self._handle_stream(request)
-            if op == "analysis":
-                return self._handle_analysis(request)
             if op == "health":
                 return self._handle_health(request)
             if op == "stats":
@@ -480,9 +695,7 @@ class SCCService:
                     "ok": True,
                     "draining": True,
                 }
-            return self._error_response(
-                request, ValueError(f"unknown op {op!r}")
-            )
+            raise ValueError(f"unknown op {op!r}")
         except Exception as exc:  # the transport must always answer
             return self._error_response(request, exc)
 
@@ -511,35 +724,51 @@ class SCCService:
             return estimate_edge_list_size(source) or (None, None)
         return None, None
 
-    def _handle_run(self, request: dict) -> dict:
-        unknown = sorted(set(request) - _RUN_KEYS)
+    @staticmethod
+    def _check(request: dict) -> None:
+        """Pipeline step 1: refuse a malformed request up front."""
+        op = request.get("op", "run")
+        unknown = sorted(set(request) - OP_KEYS[op])
         if unknown:
-            return self._error_response(
-                request,
-                ValueError(
-                    f"unknown request key(s) {unknown}; "
-                    f"known: {sorted(_RUN_KEYS)}"
-                ),
+            raise ValueError(
+                f"unknown request key(s) {unknown}; "
+                f"known: {sorted(OP_KEYS[op])}"
             )
+        if op == "stream":
+            return
         if not request.get("graph"):
-            return self._error_response(
-                request, ValueError("run request needs a 'graph' source")
-            )
-        from ..engine.engine import check_method_options
+            raise ValueError(f"{op} request needs a 'graph' source")
+        if op == "run":
+            from ..engine.engine import check_method_options
 
-        try:
             check_method_options(
                 request.get("method", "method2"), request.get("options")
             )
-        except ValueError as exc:
-            return self._error_response(request, exc)
+        elif op == "update":
+            _edge_pairs(request.get("inserts"), "inserts")
+            _edge_pairs(request.get("deletes"), "deletes")
+        elif request.get("kind", "summary") not in ANALYSIS_KINDS:
+            raise ValueError(
+                f"unknown analysis kind {request.get('kind')!r}; "
+                f"known: {list(ANALYSIS_KINDS)}"
+            )
+
+    def _serve(self, request: dict) -> dict:
+        """One ``run``/``update``/``analysis`` request, start to finish
+        (the pipeline of the module docstring)."""
+        self._check(request)
+        op = request.get("op", "run")
+        cfg = self.config
         self.requests += 1
+        if op == "update":
+            self.updates += 1
         with self._seq_lock:
             seq = self._seq
             self._seq += 1
-        requested = request.get("backend", self.config.backend)
-        workers = int(request.get("workers", self.config.workers))
-        budget = request.get("deadline", self.config.default_deadline)
+        backend, workers = cfg.backend, 1
+        if op == "run":
+            backend = request.get("backend", cfg.backend)
+            workers = int(request.get("workers", cfg.workers))
         t0 = time.perf_counter()
         journaled = False
         try:
@@ -547,7 +776,7 @@ class SCCService:
             with self.admission.admit(
                 nodes=nodes,
                 edges=edges,
-                backend=requested,
+                backend=backend,
                 num_workers=workers,
             ):
                 # Past admission the request is *accepted*: from here
@@ -555,135 +784,16 @@ class SCCService:
                 if self.journal is not None:
                     self.journal.accepted(seq, request)
                     journaled = True
-                if (
-                    self.supervisor is not None
-                    and self.supervisor.available
-                ):
-                    response = self._execute_sharded(
-                        request, seq, requested, budget
-                    )
+                if op == "run":
+                    response = self._attempts(request, seq, workers)
                 else:
-                    # N=1, fork unavailable, or the whole fleet lost:
-                    # the in-process single-engine path is the floor.
-                    response = self._execute(
-                        request, seq, requested, workers, budget
-                    )
-            self.completed += 1
-            if journaled:
-                self.journal.completed(
-                    seq,
-                    ok=True,
-                    labels_crc32=response.get("labels_crc32"),
-                )
-            if response.get("certificate") is not None:
-                self.certificates_issued += 1
-            if self.auditor is not None and response.get("ok"):
-                # the reference replay must be clean: strip the chaos
-                # drill, keep everything that shapes the answer.
-                audit_req = {
-                    k: v
-                    for k, v in request.items()
-                    if k in _RUN_KEYS
-                    and k not in ("fault_plan", "certify", "id")
-                }
-                self.auditor.maybe_submit(
-                    seq,
-                    audit_req,
-                    response.get("labels_crc32"),
-                    backend_used=response.get("backend_used"),
-                    fingerprint=response.get("session_fingerprint"),
-                )
-            response["seconds"] = time.perf_counter() - t0
-            return response
-        except Exception as exc:
-            resp = self._error_response(request, exc)
-            if journaled:
-                if resp.get("shed"):
-                    self.journal.shed(
-                        seq,
-                        reason=getattr(exc, "reason", "overload"),
-                    )
-                else:
-                    self.journal.completed(
-                        seq,
-                        ok=False,
-                        error_type=resp.get("error_type"),
-                    )
-            resp["seconds"] = time.perf_counter() - t0
-            return resp
-
-    @staticmethod
-    def _edge_pairs(raw, what: str) -> list:
-        """Validate a request's edge list into ``(u, v)`` int pairs."""
-        pairs = []
-        for item in raw or ():
-            try:
-                u, v = item
-                pairs.append((int(u), int(v)))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"bad {what} entry {item!r}: "
-                    "need [u, v] integer pairs"
-                ) from exc
-        return pairs
-
-    def _handle_update(self, request: dict) -> dict:
-        """One streamed edge-update batch against a mutable session.
-
-        Flows through the same admission gate and journal lifecycle as
-        a ``run`` (accepted -> completed/shed); on the sharded tier the
-        batch is pinned to the worker that owns the graph's mutable
-        session (see :mod:`repro.service.workers`).  The response's
-        ``graph_version`` and ``labels_crc32`` name the exact post-
-        update state — the CRC is bit-comparable to a from-scratch
-        run's canonical labels.
-        """
-        unknown = sorted(set(request) - _UPDATE_KEYS)
-        if unknown:
-            return self._error_response(
-                request,
-                ValueError(
-                    f"unknown request key(s) {unknown}; "
-                    f"known: {sorted(_UPDATE_KEYS)}"
-                ),
-            )
-        if not request.get("graph"):
-            return self._error_response(
-                request,
-                ValueError("update request needs a 'graph' source"),
-            )
-        try:
-            inserts = self._edge_pairs(request.get("inserts"), "inserts")
-            deletes = self._edge_pairs(request.get("deletes"), "deletes")
-        except ValueError as exc:
-            return self._error_response(request, exc)
-        self.requests += 1
-        self.updates += 1
-        with self._seq_lock:
-            seq = self._seq
-            self._seq += 1
-        t0 = time.perf_counter()
-        journaled = False
-        try:
-            nodes, edges = self._size_hint(request)
-            with self.admission.admit(
-                nodes=nodes,
-                edges=edges,
-                backend=self.config.backend,
-                num_workers=1,
-            ):
-                if self.journal is not None:
-                    self.journal.accepted(seq, request)
-                    journaled = True
-                if (
-                    self.supervisor is not None
-                    and self.supervisor.available
-                ):
-                    response = self._execute_update_sharded(request, seq)
-                else:
-                    response = self._execute_update(
-                        request, inserts, deletes
-                    )
+                    forward = dict(request)
+                    if op == "update":
+                        forward.setdefault("compact_ratio", cfg.compact_ratio)
+                        forward.setdefault(
+                            "damage_threshold", cfg.damage_threshold
+                        )
+                    response = self._route(forward, seq, 0, None)
             self.completed += 1
             if response.get("applied"):
                 self.updates_applied += 1
@@ -692,94 +802,120 @@ class SCCService:
                     seq,
                     ok=True,
                     labels_crc32=response.get("labels_crc32"),
-                    version=response.get("graph_version"),
+                    version=(
+                        response.get("graph_version")
+                        if op == "update"
+                        else None
+                    ),
                 )
-            response["seconds"] = time.perf_counter() - t0
-            return response
+            if response.get("certificate") is not None:
+                self.certificates_issued += 1
+            if op == "run" and self.auditor is not None:
+                # the reference replay must be clean: strip the chaos
+                # drill, keep everything that shapes the answer.
+                self.auditor.maybe_submit(
+                    seq,
+                    {
+                        k: v
+                        for k, v in request.items()
+                        if k not in ("fault_plan", "certify", "id")
+                    },
+                    response.get("labels_crc32"),
+                    backend_used=response.get("backend_used"),
+                    fingerprint=response.get("session_fingerprint"),
+                )
+            response["id"] = request.get("id")
         except Exception as exc:
-            resp = self._error_response(request, exc)
+            response = self._error_response(request, exc)
             if journaled:
-                if resp.get("shed"):
+                if response["shed"]:
                     self.journal.shed(
-                        seq,
-                        reason=getattr(exc, "reason", "overload"),
+                        seq, reason=getattr(exc, "reason", "overload")
                     )
                 else:
                     self.journal.completed(
-                        seq,
-                        ok=False,
-                        error_type=resp.get("error_type"),
+                        seq, ok=False, error_type=response["error_type"]
                     )
-            resp["seconds"] = time.perf_counter() - t0
-            return resp
+        response["seconds"] = time.perf_counter() - t0
+        return response
 
-    def _execute_update(
-        self, request: dict, inserts: list, deletes: list
-    ) -> dict:
-        with self._engine_turn():
-            session = self.engine.load(
-                request["graph"],
-                scale=request.get("scale"),
-                seed=None,
-                on_error=request.get("on_error", "strict"),
+    def _attempts(self, request: dict, seq: int, workers: int) -> dict:
+        """Pipeline step 4 for ``run``: retries, breakers, deadline."""
+        cfg = self.config
+        # task-kernel faults in the request's own plan need the
+        # supervised executor: the breakers steer from there.
+        requested = run_faults(request.get("fault_plan")).backend or (
+            request.get("backend", cfg.backend)
+        )
+        budget = request.get("deadline", cfg.default_deadline)
+        expiry = (
+            time.monotonic() + float(budget) if budget is not None else None
+        )
+        used = [requested]
+
+        def attempt(n: int) -> dict:
+            backend = used[0] = self.breakers.resolve(requested)
+            if self.fault_plan is not None:
+                self.fault_plan.fire(
+                    "request", seq, stage="pre", attempt=n, thread_site=True
+                )
+            remaining = None
+            if expiry is not None:
+                remaining = expiry - time.monotonic()
+                if remaining <= 0:
+                    raise PhaseTimeoutError("request", float(budget))
+            forward = dict(
+                request, backend=backend, workers=workers, deadline=remaining
             )
-            try:
-                if request.get("compact"):
-                    # explicit degrade-to-snapshot: fold the delta log
-                    # now (a streaming consumer over its compaction-
-                    # debt budget sends this).
-                    report = self.engine.compact(session)
-                else:
-                    report = self.engine.update(
-                        session,
-                        inserts,
-                        deletes,
-                        compact_ratio=request.get(
-                            "compact_ratio", self.config.compact_ratio
-                        ),
-                        damage_threshold=request.get(
-                            "damage_threshold", self.config.damage_threshold
-                        ),
-                    )
-            except IntegrityError:
-                self.integrity_detected += 1
-                if self.config.on_corruption == "quarantine":
-                    if self.engine.quarantine(session.fingerprint):
-                        self.integrity_quarantines += 1
-                raise
-        return {
-            "op": "update",
-            "id": request.get("id"),
-            "ok": True,
-            "graph": request["graph"],
-            "graph_version": report.version,
-            "applied": report.applied,
-            "changed": report.changed,
-            "compacted": report.compacted,
-            "inserts": report.inserts,
-            "deletes": report.deletes,
-            "num_sccs": report.num_components,
-            "labels_crc32": report.labels_crc32,
-            "session_fingerprint": report.fingerprint,
-            "stats": report.stats,
-            "log_ratio": report.log_ratio,
-        }
+            return self._route(forward, seq, n, remaining)
 
-    def _execute_update_sharded(self, request: dict, seq: int) -> dict:
+        def on_failure(exc: BaseException, n: int) -> None:
+            # Only infra failures are backend-health signals; a typo'd
+            # method or corrupt file says nothing about the pool.
+            if classify_failure(exc) == "transient":
+                self.breakers.record(used[0], ok=False)
+
+        outcome = cfg.retry.execute(attempt, key=seq, on_failure=on_failure)
+        backend = used[0]
+        self.breakers.record(backend, ok=True)
+        if outcome.attempts > 1:
+            self.retried += 1
+        if backend != requested:
+            self.degraded_runs += 1
+        return dict(
+            outcome.value,
+            backend_requested=requested,
+            backend_used=backend,
+            attempts=outcome.attempts,
+            backoff_seconds=outcome.backoff_seconds,
+            retried_errors=outcome.errors,
+        )
+
+    def _route(
+        self, forward: dict, seq: int, attempt: int, budget: Optional[float]
+    ) -> dict:
+        """Pipeline step 5: the worker fleet while it is up, else the
+        local dispatch — N=1, fork unavailable, or the whole fleet
+        lost: the in-process engine is the floor.  A worker's ``ok:
+        false`` re-raises typed (its transient/permanent verdict
+        crossing the pipe); a worker dying mid-request is replayed by
+        the supervisor underneath and only surfaces as a transient
+        :class:`~repro.errors.WorkerLostError` once replay is spent."""
+        if self.supervisor is None or not self.supervisor.available:
+            return self.dispatch(forward, seq, attempt)
+        response = self.supervisor.execute(
+            forward, seq, budget=budget, attempt=attempt
+        )
+        if response.get("ok", False):
+            return response
+        if response.get("shed"):
+            raise ServiceOverloadError(
+                response.get("error", "worker shed the request"),
+                reason="worker-overload",
+            )
         from .workers import RemoteRequestError
 
-        forward = {k: v for k, v in request.items() if k in _UPDATE_KEYS}
-        response = self.supervisor.execute(forward, seq, budget=None)
-        if not response.get("ok", False):
-            if response.get("shed"):
-                raise ServiceOverloadError(
-                    response.get("error", "worker shed the update"),
-                    reason="worker-overload",
-                )
-            raise RemoteRequestError(response)
-        response = dict(response)
-        response["id"] = request.get("id")
-        return response
+        raise RemoteRequestError(response)
 
     # -- stream op: live edge feeds over mutable sessions ----------------
     def _handle_stream(self, request: dict) -> dict:
@@ -787,67 +923,36 @@ class SCCService:
 
         ``attach`` spawns a consumer thread that pulls the named
         source, batches edits, and drives them through the service's
-        own ``update`` path — so every applied batch pays admission,
-        lands a journal stamp, and (on the sharded tier) pins to the
-        worker owning the mutable session, exactly like a client-sent
-        update.  ``status`` reports the consumer's counters and
-        freshness lag; ``detach`` stops the feed and returns the final
-        stats.  Feeds are stopped automatically on drain.
+        own request pipeline as ``update`` requests — so every applied
+        batch pays admission, lands a journal stamp, and (on the
+        sharded tier) pins to the worker owning the mutable session,
+        exactly like a client-sent update.  ``status`` reports the
+        consumer's counters and freshness lag; ``detach`` stops the
+        feed and returns the final stats.  Feeds are stopped
+        automatically on drain.
         """
-        unknown = sorted(set(request) - _STREAM_KEYS)
-        if unknown:
-            return self._error_response(
-                request,
-                ValueError(
-                    f"unknown request key(s) {unknown}; "
-                    f"known: {sorted(_STREAM_KEYS)}"
-                ),
-            )
+        self._check(request)
         action = request.get("action", "status")
         self.requests += 1
-        try:
-            if action == "attach":
-                response = self._stream_attach(request)
-            elif action == "status":
-                response = self._stream_status(request)
-            elif action == "detach":
-                response = self._stream_detach(request)
-            else:
-                raise ValueError(
-                    f"unknown stream action {action!r}; "
-                    f"known: ['attach', 'detach', 'status']"
-                )
-        except Exception as exc:
-            return self._error_response(request, exc)
+        if action == "attach":
+            response = self._stream_attach(request)
+        elif action == "status":
+            response = self._stream_status(request)
+        elif action == "detach":
+            response = self._stream_detach(request)
+        else:
+            raise ValueError(
+                f"unknown stream action {action!r}; "
+                f"known: ['attach', 'detach', 'status']"
+            )
         self.completed += 1
         return response
 
-    def _stream_fault_plan(self, request: dict):
-        """Per-feed chaos: network-kind specs retargeted at the
-        source's ``"stream"`` site, with the drill's stall duration."""
-        if not request.get("fault_plan"):
-            return None
-        import dataclasses
-
-        from ..runtime.faults import NETWORK_KINDS, FaultPlan
-
-        plan = FaultPlan.parse(request["fault_plan"])
-        stall = float(request.get("stall_seconds") or 0.0)
-        specs = []
-        for spec in plan.specs:
-            if spec.kind in NETWORK_KINDS:
-                spec = dataclasses.replace(
-                    spec,
-                    site="stream",
-                    hang_seconds=(stall or spec.hang_seconds),
-                )
-            specs.append(spec)
-        return FaultPlan(specs)
-
     def _stream_attach(self, request: dict) -> dict:
         from ..ingest.checkpoint import StreamCheckpoint
-        from ..ingest.consumer import StreamConsumer
+        from ..ingest.consumer import RequestApplier, StreamConsumer
         from ..ingest.sources import open_source
+        from ..runtime.faults import retarget
 
         if not request.get("graph"):
             raise ValueError("stream attach needs a 'graph' source")
@@ -859,7 +964,16 @@ class SCCService:
             )
         name = str(request.get("name") or request["graph"])
         source_kwargs = {
-            "fault_plan": self._stream_fault_plan(request),
+            # per-feed chaos: network kinds fire inside the source.
+            "fault_plan": (
+                retarget(
+                    request["fault_plan"],
+                    "stream",
+                    hang_seconds=request.get("stall_seconds"),
+                )
+                if request.get("fault_plan")
+                else None
+            ),
         }
         if request.get("max_reconnects") is not None:
             source_kwargs["max_reconnects"] = int(request["max_reconnects"])
@@ -873,7 +987,12 @@ class SCCService:
             if request.get("checkpoint")
             else None
         )
-        applier = _ServiceApplier(self, request)
+        applier = RequestApplier(
+            self.handle,
+            request["graph"],
+            request.get("scale"),
+            request.get("on_error"),
+        )
         try:
             consumer = StreamConsumer(
                 source,
@@ -889,7 +1008,7 @@ class SCCService:
         except Exception:
             source.close()
             raise
-        feed = _StreamFeed(name, request, source, consumer)
+        feed = _StreamFeed(name, source, consumer)
         with self._streams_lock:
             if name in self.streams:
                 source.close()
@@ -913,9 +1032,8 @@ class SCCService:
             raise ValueError("stream request needs a 'name' (or 'graph')")
         with self._streams_lock:
             feed = self.streams.get(str(name))
+            known = sorted(self.streams)
         if feed is None:
-            with self._streams_lock:
-                known = sorted(self.streams)
             raise ValueError(
                 f"no attached stream {name!r}; attached: {known}"
             )
@@ -951,477 +1069,35 @@ class SCCService:
             "stats": feed.consumer.stats(),
         }
 
-    # -- analysis op: structure suite over the live session --------------
-    def _handle_analysis(self, request: dict) -> dict:
-        """Run one structure analysis over a session's current labels.
-
-        On a stream-fed mutable session the labels are the live
-        incrementally-maintained ones — the response's
-        ``graph_version`` says exactly which update epoch the numbers
-        describe.  A cold session pays one full detection first.
-        """
-        unknown = sorted(set(request) - _ANALYSIS_KEYS)
-        if unknown:
-            return self._error_response(
-                request,
-                ValueError(
-                    f"unknown request key(s) {unknown}; "
-                    f"known: {sorted(_ANALYSIS_KEYS)}"
-                ),
-            )
-        if not request.get("graph"):
-            return self._error_response(
-                request, ValueError("analysis request needs a 'graph'")
-            )
-        kind = request.get("kind", "summary")
-        if kind not in ANALYSIS_KINDS:
-            return self._error_response(
-                request,
-                ValueError(
-                    f"unknown analysis kind {kind!r}; "
-                    f"known: {list(ANALYSIS_KINDS)}"
-                ),
-            )
-        self.requests += 1
-        t0 = time.perf_counter()
-        try:
-            with self.admission.admit(
-                backend=self.config.backend, num_workers=1
-            ):
-                with self._engine_turn():
-                    result, version, num_sccs = self._execute_analysis(
-                        request, kind
-                    )
-        except Exception as exc:
-            resp = self._error_response(request, exc)
-            resp["seconds"] = time.perf_counter() - t0
-            return resp
-        self.completed += 1
-        return {
-            "op": "analysis",
-            "id": request.get("id"),
-            "ok": True,
-            "kind": kind,
-            "graph": request["graph"],
-            "graph_version": version,
-            "num_sccs": num_sccs,
-            "result": result,
-            "seconds": time.perf_counter() - t0,
-        }
-
-    def _execute_analysis(self, request: dict, kind: str):
-        import dataclasses
-
-        import numpy as np
-
-        from .. import analysis
-        from ..core.result import canonical_labels
-
-        session = self.engine.load(
-            request["graph"],
-            scale=request.get("scale"),
-            seed=None,
-            on_error=request.get("on_error", "strict"),
-        )
-        if session.dynamic is not None:
-            labels = canonical_labels(
-                np.ascontiguousarray(
-                    session.dynamic.labels, dtype=np.int64
-                )
-            )
-        else:
-            labels = self.engine.run(session).labels
-        num_sccs = int(labels.max()) + 1 if labels.size else 0
-        if kind == "summary":
-            summary = analysis.summarize_scc_structure(labels)
-            result = dataclasses.asdict(summary)
-        elif kind == "histogram":
-            hist = analysis.size_histogram(labels)
-            result = {
-                "sizes": {str(k): int(v) for k, v in sorted(hist.items())},
-                "giant_fraction": analysis.giant_fraction(labels),
-            }
-        elif kind == "bowtie":
-            tie = analysis.bowtie_decomposition(session.graph, labels)
-            result = dict(
-                tie.fractions(),
-                counts={
-                    "core": tie.core,
-                    "in": tie.inset,
-                    "out": tie.outset,
-                    "other": tie.other,
-                },
-            )
-        else:  # clustering
-            result = {
-                "average_clustering": analysis.average_clustering(
-                    session.graph,
-                    samples=int(request.get("samples", 200)),
-                    rng=int(request.get("seed", 0)),
-                )
-            }
-        return result, session.version, num_sccs
-
-    def _execute(
-        self,
-        request: dict,
-        seq: int,
-        requested: str,
-        workers: int,
-        budget: Optional[float],
-    ) -> dict:
-        expiry = (
-            time.monotonic() + float(budget) if budget is not None else None
-        )
-        supervisor = None
-        corrupt_specs: tuple = ()
-        if request.get("fault_plan"):
-            # per-request chaos drill, exactly like a batch job's
-            # fault_plan field.  ``corrupt`` specs rot the warm arrays
-            # right here (detection is the integrity tier's job, no
-            # supervised backend needed); anything else still forces
-            # the supervised backend.
-            from ..runtime.faults import FaultPlan
-            from ..runtime.supervisor import SupervisorConfig
-
-            plan = FaultPlan.parse(request["fault_plan"])
-            corrupt_specs = tuple(
-                s for s in plan.specs if s.kind == "corrupt"
-            )
-            rest = [s for s in plan.specs if s.kind != "corrupt"]
-            if rest:
-                requested = "supervised"
-                supervisor = SupervisorConfig(fault_plan=FaultPlan(rest))
-        used = [requested]
-
-        def corrupt_session(session, attempt: int) -> None:
-            """Apply armed bit flips to the warm session's arrays.
-
-            Request-carried ``corrupt`` specs target *this* request
-            regardless of their site/index (``times`` still bounds the
-            attempts hit, so the default 1 rots the first attempt and
-            lets the retry's rebuilt session through); the service
-            plan's specs match the ``"request"`` site by admission
-            sequence as usual.  ``"phase"``-site specs are not applied
-            here — they ride into :meth:`Engine.run` to fire at exact
-            phase boundaries.
-            """
-            from ..runtime.faults import apply_corruption
-
-            armed = [
-                s
-                for s in corrupt_specs
-                if s.site != "phase" and attempt < s.times
-            ]
-            if self.fault_plan is not None:
-                armed.extend(
-                    self.fault_plan.corruptions("request", seq, attempt)
-                )
-            for spec in armed:
-                if spec.array in ("labels", "color"):
-                    continue  # run-owned state: use a "phase" plan.
-                if spec.array in ("in_indptr", "in_indices"):
-                    session.ensure_transpose()
-                elif spec.array in ("out_degrees", "in_degrees"):
-                    session.effective_degrees()
-                apply_corruption(
-                    session.integrity_arrays()[spec.array], spec
-                )
-
-        def phase_fault_plan(attempt: int):
-            """The boundary-timed slice of the drill for this attempt
-            (``times``-gated like the direct flips above).  Service-
-            level "phase"-site corrupt specs (from ``--fault-plan``)
-            hit every request's run the same way."""
-            armed = [
-                s
-                for s in corrupt_specs
-                if s.site == "phase" and attempt < s.times
-            ]
-            if self.fault_plan is not None:
-                armed.extend(
-                    s
-                    for s in self.fault_plan.specs
-                    if s.kind == "corrupt"
-                    and s.site == "phase"
-                    and attempt < s.times
-                )
-            if not armed:
-                return None
-            from ..runtime.faults import FaultPlan
-
-            return FaultPlan(armed)
-
-        def attempt_fn(attempt: int):
-            backend = self.breakers.resolve(requested)
-            used[0] = backend
-            if self.fault_plan is not None:
-                self.fault_plan.fire(
-                    "request",
-                    seq,
-                    stage="pre",
-                    attempt=attempt,
-                    thread_site=True,
-                )
-            remaining = None
-            if expiry is not None:
-                remaining = expiry - time.monotonic()
-                if remaining <= 0:
-                    raise PhaseTimeoutError("request", float(budget))
-            with self._engine_turn():
-                session = self.engine.load(
-                    request["graph"],
-                    scale=request.get("scale"),
-                    seed=None,
-                    on_error=request.get("on_error", "strict"),
-                )
-                corrupt_session(session, attempt)
-                runs_before = session.stats.runs
-                warm_before = session.stats.warm_runs
-                # read inside the turnstile: an update committing once
-                # the turn ends must not restamp this run's answer.
-                version = session.version
-                try:
-                    result = self.engine.run(
-                        session,
-                        method=request.get("method", "method2"),
-                        backend=backend,
-                        num_workers=workers,
-                        seed=request.get("seed", 0),
-                        supervisor=supervisor,
-                        deadline=remaining,
-                        fault_plan=phase_fault_plan(attempt),
-                        **(request.get("options") or {}),
-                    )
-                    certificate = None
-                    if request.get("certify"):
-                        from ..integrity import certify_result
-
-                        level = request["certify"]
-                        certificate = certify_result(
-                            session.graph,
-                            result.labels,
-                            level=(
-                                "sample" if level is True else str(level)
-                            ),
-                            seed=int(request.get("seed", 0) or 0),
-                        )
-                        # pin the certificate to the exact graph state
-                        # it proves: mutable sessions advance this per
-                        # applied update batch.
-                        certificate["graph_version"] = version
-                except IntegrityError as exc:
-                    # corruption (or a failed certificate) caught
-                    # before any response: quarantine the rotten
-                    # session so the retry rebuilds from source, or
-                    # fail the request typed when the operator asked
-                    # for loud failures.
-                    self.integrity_detected += 1
-                    if self.config.on_corruption == "quarantine":
-                        if self.engine.quarantine(session.fingerprint):
-                            self.integrity_quarantines += 1
-                    else:
-                        exc.transient_hint = False
-                    raise
-                warm = (
-                    session.stats.runs == runs_before + 1
-                    and session.stats.warm_runs == warm_before + 1
-                )
-            return backend, session, result, warm, certificate, version
-
-        def on_failure(exc: BaseException, attempt: int) -> None:
-            # Only infra failures are backend-health signals; a typo'd
-            # method or corrupt file says nothing about the pool.
-            if classify_failure(exc) == "transient":
-                self.breakers.record(used[0], ok=False)
-
-        outcome = self.config.retry.execute(
-            attempt_fn, key=seq, on_failure=on_failure
-        )
-        backend, session, result, warm, certificate, version = (
-            outcome.value
-        )
-        self.breakers.record(backend, ok=True)
-        if outcome.attempts > 1:
-            self.retried += 1
-        if backend != requested:
-            self.degraded_runs += 1
-        if self.governor is not None:
-            self.governor.relieve()
-        response = {
-            "op": "run",
-            "id": request.get("id"),
-            "ok": True,
-            "graph": request["graph"],
-            "method": request.get("method", "method2"),
-            "backend_requested": requested,
-            "backend_used": backend,
-            "num_sccs": result.num_sccs,
-            "largest_scc": result.largest_scc_size(),
-            "giant_fraction": result.giant_fraction(),
-            "labels_crc32": crc32_chunks(result.labels.tobytes()),
-            "warm": warm,
-            "attempts": outcome.attempts,
-            "backoff_seconds": outcome.backoff_seconds,
-            "retried_errors": outcome.errors,
-            "session_fingerprint": session.fingerprint,
-            "graph_version": version,
-        }
-        if certificate is not None:
-            response["certificate"] = certificate
-        return response
-
-    def _execute_sharded(
-        self,
-        request: dict,
-        seq: int,
-        requested: str,
-        budget: Optional[float],
-    ) -> dict:
-        """Run one request on the worker fleet, front retry included.
-
-        The front's breakers and retry policy wrap the *dispatch*: a
-        worker answering ``ok: false`` re-raises typed (the worker-side
-        verdict crossing the pipe as ``transient_hint``), a worker
-        dying mid-request is replayed by the supervisor underneath and
-        only surfaces here as :class:`~repro.errors.WorkerLostError`
-        once replay is exhausted — which is transient, because the
-        respawned worker can serve the next attempt.
-        """
-        from .workers import RemoteRequestError
-
-        expiry = (
-            time.monotonic() + float(budget) if budget is not None else None
-        )
-        used = [requested]
-
-        def attempt_fn(attempt: int):
-            backend = self.breakers.resolve(requested)
-            used[0] = backend
-            if self.fault_plan is not None:
-                self.fault_plan.fire(
-                    "request",
-                    seq,
-                    stage="pre",
-                    attempt=attempt,
-                    thread_site=True,
-                )
-            remaining = None
-            if expiry is not None:
-                remaining = expiry - time.monotonic()
-                if remaining <= 0:
-                    raise PhaseTimeoutError("request", float(budget))
-            forward = {
-                k: v for k, v in request.items() if k in _RUN_KEYS
-            }
-            forward["backend"] = backend
-            if remaining is not None:
-                forward["deadline"] = remaining
-            response = self.supervisor.execute(
-                forward, seq, budget=remaining
-            )
-            if not response.get("ok", False):
-                if response.get("shed"):
-                    raise ServiceOverloadError(
-                        response.get("error", "worker shed the request"),
-                        reason="worker-overload",
-                    )
-                raise RemoteRequestError(response)
-            return response
-
-        def on_failure(exc: BaseException, attempt: int) -> None:
-            if classify_failure(exc) == "transient":
-                self.breakers.record(used[0], ok=False)
-
-        outcome = self.config.retry.execute(
-            attempt_fn, key=seq, on_failure=on_failure
-        )
-        response = dict(outcome.value)
-        backend = used[0]
-        self.breakers.record(backend, ok=True)
-        if outcome.attempts > 1:
-            self.retried += 1
-        if backend != requested:
-            self.degraded_runs += 1
-        if self.governor is not None:
-            self.governor.relieve()
-        response["id"] = request.get("id")
-        response["backend_requested"] = requested
-        response["front_attempts"] = outcome.attempts
-        return response
-
     def _error_response(self, request: dict, exc: Exception) -> dict:
-        shed = isinstance(exc, ServiceOverloadError)
-        if shed:
+        response = error_response(request, exc)
+        if response["shed"]:
             self.shed += 1
         else:
             self.failed += 1
-        outcome = getattr(exc, "__retry_outcome__", None)
-        error_type = type(exc).__name__
-        exit_code = exit_code_for(exc)
-        message = str(exc) or error_type
-        remote = getattr(exc, "response", None)
-        if isinstance(remote, dict) and "error_type" in remote:
-            # a worker's typed failure: surface the original taxonomy,
-            # not the RemoteRequestError envelope it crossed the pipe in.
-            error_type = remote["error_type"]
-            exit_code = int(remote.get("exit_code", exit_code))
-            message = remote.get("error", message)
-        return {
-            "op": request.get("op", "run"),
-            "id": request.get("id"),
-            "ok": False,
-            "shed": shed,
-            "error": message,
-            "error_type": error_type,
-            "exit_code": exit_code,
-            "transient": classify_failure(exc) == "transient",
-            "attempts": outcome.attempts if outcome is not None else 0,
-        }
+        return response
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict:
-        sessions = {
-            f"{s.fingerprint:#010x}": dict(
-                s.stats.to_dict(),
-                name=s.name,
-                estimated_bytes=s.estimated_bytes(),
-            )
-            for s in self.engine.sessions
-        }
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed": self.shed,
-            "retried": self.retried,
-            "degraded_runs": self.degraded_runs,
-            "transport_errors": self.transport_errors,
-            "updates": self.updates,
-            "updates_applied": self.updates_applied,
-            "uptime_seconds": self._clock() - self._started,
-            "admission": self.admission.to_dict(),
-            "integrity": {
-                "checksums": self.config.checksums,
-                "on_corruption": self.config.on_corruption,
-                "detected": self.integrity_detected,
-                "quarantines": self.integrity_quarantines,
-                "engine_quarantines": self.engine.quarantines,
-                "certificates_issued": self.certificates_issued,
-                "verifications": sum(
-                    s.stats.integrity_verifications
-                    for s in self.engine.sessions
-                ),
-                "audit": (
-                    self.auditor.to_dict() if self.auditor else None
-                ),
-            },
-            "breakers": self.breakers.to_dict(),
-            "governor": (
-                self.governor.to_dict() if self.governor else None
-            ),
-            "sessions": sessions,
-            "streams": {
+        stats = super().stats()
+        stats["integrity"].update(
+            certificates_issued=self.certificates_issued,
+            audit=self.auditor.to_dict() if self.auditor else None,
+        )
+        stats.update(
+            requests=self.requests,
+            completed=self.completed,
+            failed=self.failed,
+            shed=self.shed,
+            retried=self.retried,
+            degraded_runs=self.degraded_runs,
+            transport_errors=self.transport_errors,
+            updates=self.updates,
+            updates_applied=self.updates_applied,
+            uptime_seconds=self._clock() - self._started,
+            admission=self.admission.to_dict(),
+            breakers=self.breakers.to_dict(),
+            streams={
                 feed.name: {
                     "alive": feed.thread.is_alive(),
                     "error": feed.error_text(),
@@ -1429,13 +1105,12 @@ class SCCService:
                 }
                 for feed in list(self.streams.values())
             },
-            "workers": (
+            workers=(
                 self.supervisor.to_dict() if self.supervisor else None
             ),
-            "journal": (
-                self.journal.reconcile() if self.journal else None
-            ),
-        }
+            journal=self.journal.reconcile() if self.journal else None,
+        )
+        return stats
 
     def note_transport_error(self) -> None:
         """Record a client that vanished mid-read/mid-response."""
@@ -1466,9 +1141,8 @@ class SCCService:
 class _StreamFeed:
     """One attached live feed: its source, consumer, and thread."""
 
-    def __init__(self, name, request, source, consumer) -> None:
+    def __init__(self, name, source, consumer) -> None:
         self.name = name
-        self.request = dict(request)
         self.source = source
         self.consumer = consumer
         self.error: Optional[BaseException] = None
@@ -1488,38 +1162,6 @@ class _StreamFeed:
         if self.error is None:
             return None
         return f"{type(self.error).__name__}: {self.error}"
-
-
-class _ServiceApplier:
-    """Consumer-side applier that drives the service's own ``update``
-    path, so streamed batches pay admission, land journal stamps, and
-    pin to the owning sharded worker exactly like client updates."""
-
-    def __init__(self, service: "SCCService", request: dict) -> None:
-        self.service = service
-        self.graph = request["graph"]
-        self.scale = request.get("scale")
-        self.on_error = request.get("on_error")
-
-    def _request(self, **fields) -> dict:
-        req = {"op": "update", "graph": self.graph}
-        if self.scale is not None:
-            req["scale"] = self.scale
-        if self.on_error is not None:
-            req["on_error"] = self.on_error
-        req.update(fields)
-        return req
-
-    def apply_batch(self, inserts, deletes) -> dict:
-        return self.service.handle(
-            self._request(
-                inserts=[list(e) for e in inserts],
-                deletes=[list(e) for e in deletes],
-            )
-        )
-
-    def compact(self) -> dict:
-        return self.service.handle(self._request(compact=True))
 
 
 # ---------------------------------------------------------------------------
@@ -1551,6 +1193,20 @@ def _respond(out_stream, lock: threading.Lock, response: dict) -> None:
     with lock:
         out_stream.write(line + "\n")
         out_stream.flush()
+
+
+def _bad_request(error: str, error_type: str = "ValueError") -> dict:
+    """A transport-level refusal: the line never became a request."""
+    return {
+        "ok": False,
+        "error": error,
+        "error_type": error_type,
+        "exit_code": 1,
+    }
+
+
+def _send_line(conn, response: dict) -> None:
+    conn.sendall((json.dumps(response, sort_keys=True) + "\n").encode())
 
 
 def serve_stdin(
@@ -1602,23 +1258,15 @@ def serve_stdin(
                     raise ValueError("request must be a JSON object")
             except ValueError as exc:
                 _respond(
-                    out_stream,
-                    out_lock,
-                    {
-                        "ok": False,
-                        "error": f"bad request JSON: {exc}",
-                        "error_type": "ValueError",
-                        "exit_code": 1,
-                    },
+                    out_stream, out_lock, _bad_request(f"bad request JSON: {exc}")
                 )
                 continue
             op = request.get("op", "run")
-            if op == "shutdown":
-                _respond(out_stream, out_lock, service.handle(request))
-                stop.set()
-                break
             if op != "run":
                 _respond(out_stream, out_lock, service.handle(request))
+                if op == "shutdown":
+                    stop.set()
+                    break
                 continue
             t = threading.Thread(
                 target=lambda r=request: _respond(
@@ -1724,7 +1372,6 @@ def serve_socket(
     except FileNotFoundError:
         pass
     stop = threading.Event()
-    out_lock = threading.Lock()  # per-connection streams; lock unused
     workers: list = []
     handled = 0
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
@@ -1761,32 +1408,17 @@ def serve_socket(
                             data, refused = _read_request_line(
                                 conn, max_line_bytes
                             )
-                        except socket.timeout:
-                            # slow-loris: deadline expired before the
-                            # newline arrived.  Drop, count, move on.
-                            service.note_transport_error()
-                            return
                         except OSError:
+                            # socket.timeout included: a slow-loris whose
+                            # deadline expired before the newline.  Drop,
+                            # count, move on.
                             service.note_transport_error()
                             return
                         if data is None:
                             service.note_transport_error()
                             try:
-                                conn.sendall(
-                                    (
-                                        json.dumps(
-                                            {
-                                                "ok": False,
-                                                "error": (
-                                                    f"bad request: {refused}"
-                                                ),
-                                                "error_type": "ValueError",
-                                                "exit_code": 1,
-                                            },
-                                            sort_keys=True,
-                                        )
-                                        + "\n"
-                                    ).encode()
+                                _send_line(
+                                    conn, _bad_request(f"bad request: {refused}")
                                 )
                             except OSError:
                                 pass
@@ -1801,19 +1433,11 @@ def serve_socket(
                             if request.get("op") == "shutdown":
                                 stop.set()
                         except Exception as exc:
-                            response = {
-                                "ok": False,
-                                "error": f"bad request: {exc}",
-                                "error_type": type(exc).__name__,
-                                "exit_code": 1,
-                            }
-                        try:
-                            conn.sendall(
-                                (
-                                    json.dumps(response, sort_keys=True)
-                                    + "\n"
-                                ).encode()
+                            response = _bad_request(
+                                f"bad request: {exc}", type(exc).__name__
                             )
+                        try:
+                            _send_line(conn, response)
                         except OSError:
                             # the response is shed; the work (and its
                             # journal record) already completed.

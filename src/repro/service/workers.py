@@ -1,12 +1,15 @@
 """The sharded serving tier: supervised engine workers behind one front.
 
 ``repro serve --workers N`` turns the single-engine turnstile into a
-fleet: the front process keeps the whole hardening stack (admission,
-cost gate, retry, breakers, governor, journal) and routes each admitted
-request over a pipe to one of ``N`` forked engine workers, each running
-its own :class:`~repro.service.server.SCCService` over its own
-:class:`~repro.engine.Engine` (own warm sessions, own pools, its slice
-of the memory budget).
+fleet: the front process keeps the whole request pipeline (admission,
+cost gate, retry, breakers, journal) and its route step sends each
+attempt over a pipe to one of ``N`` forked workers.  A worker is an
+:class:`~repro.service.server.EngineHost` — the same local dispatch
+the in-process front runs, over its own :class:`~repro.engine.Engine`
+(own warm sessions, own pools, its slice of the memory budget), with
+its own integrity quarantine and memory governor.  The front sends its
+attempt number with every dispatch, so a request's ``times``-gated
+fault specs advance when the front retries.
 
 Three cooperating mechanisms, mirroring the task-level supervision the
 runtime layer already proved (``runtime/supervisor.py``):
@@ -15,22 +18,23 @@ runtime layer already proved (``runtime/supervisor.py``):
   identity (the same key the engine's session-source cache uses) onto
   a :class:`HashRing` of worker slots, so repeat requests for a graph
   land on the worker whose session is already warm.  Hot graphs
-  replicate: past ``hot_threshold`` hits a key becomes eligible for up
-  to ``hot_replicas`` consecutive ring slots, and dispatch prefers an
-  idle replica — affinity when it's free, throughput when it's not.
-  *Mutable* graphs (ones that have taken an ``update``) are the
-  exception: they route by a seed-less token
+  replicate: past :data:`HOT_THRESHOLD` hits a key becomes eligible for
+  up to :data:`HOT_REPLICAS` consecutive ring slots, and dispatch
+  prefers an idle replica — affinity when it's free, throughput when
+  it's not.  *Mutable* graphs (ones that have taken an ``update``) are
+  the exception: they route by a seed-less token
   (:func:`mutable_route_token`), never replicate, and pin every later
-  request to the one worker owning the delta state; after that worker
-  dies, the supervisor streams the token's committed update history
-  into the respawn ahead of the next request, so the rebuilt session
-  converges to the exact pre-crash state (updates are idempotent).
+  request — ``run``, ``update`` or ``analysis`` — to the one worker
+  owning the delta state; after that worker dies, the supervisor
+  streams the token's committed update history into the respawn ahead
+  of the next request, so the rebuilt session converges to the exact
+  pre-crash state (updates are idempotent).
 
 * **Supervision** — the pump thread watches every worker: process
   death (SIGKILL, OOM) is caught by ``Process.is_alive``; a wedged
   worker is caught by stale heartbeats (idle) or by an in-flight
-  request overrunning its deadline plus ``hang_grace`` (busy), and is
-  SIGKILLed.  Dead workers respawn in place (same ring slot, same
+  request overrunning its deadline plus :data:`HANG_GRACE` (busy), and
+  is SIGKILLed.  Dead workers respawn in place (same ring slot, same
   affinity) with bounded exponential backoff; a worker that exhausts
   ``max_worker_restarts`` is *lost* and its session budget is
   rebalanced onto the survivors
@@ -40,10 +44,10 @@ runtime layer already proved (``runtime/supervisor.py``):
   re-driven onto a survivor (journaled as ``replayed``); results are
   deterministic, so the replayed response carries the same canonical
   ``labels_crc32`` the original would have.  A request that burns
-  ``max_replays`` — or for which no live worker remains — fails typed
-  with :class:`~repro.errors.WorkerLostError` (exit 19), which the
-  front's retry layer classifies *transient*: by the time the client
-  retries, a respawned worker is usually back.
+  :data:`MAX_REPLAYS` — or for which no live worker remains — fails
+  typed with :class:`~repro.errors.WorkerLostError` (exit 19), which
+  the front's retry layer classifies *transient*: by the time the
+  front retries, a respawned worker is usually back.
 
 The tier degrades to the in-process single-engine path when ``N <= 1``,
 when ``fork`` is unavailable, or at runtime when the whole fleet is
@@ -60,21 +64,34 @@ import signal
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..errors import ServiceOverloadError, WorkerLostError
+from ..errors import PhaseTimeoutError, ServiceOverloadError, WorkerLostError
 from ..ioutil import process_rss_bytes
 from .journal import RequestJournal
 
 __all__ = [
-    "WorkerTierConfig",
     "HashRing",
     "routing_fingerprint",
     "mutable_route_token",
     "RemoteRequestError",
     "WorkerSupervisor",
 ]
+
+#: missed beats before an *idle* worker is declared wedged.
+HEARTBEAT_MISSES = 8
+#: base respawn backoff, doubled per restart (capped at 2 s).
+RESTART_BACKOFF = 0.1
+#: grace beyond a request's deadline before its worker is killed.
+HANG_GRACE = 2.0
+#: replays allowed per request before it fails typed.
+MAX_REPLAYS = 2
+#: max workers a hot graph may replicate onto.
+HOT_REPLICAS = 3
+#: hits on one routing key before replication widens.
+HOT_THRESHOLD = 4
+#: virtual nodes per slot on the hash ring.
+VIRTUAL_NODES = 64
 
 #: request keys that define which graph (and thus which warm session)
 #: a run request needs — the consistent-hashing routing identity.
@@ -118,7 +135,9 @@ class HashRing:
     load split across few slots.
     """
 
-    def __init__(self, slots: int, *, virtual_nodes: int = 64) -> None:
+    def __init__(
+        self, slots: int, *, virtual_nodes: int = VIRTUAL_NODES
+    ) -> None:
         if slots < 1:
             raise ValueError("slots must be >= 1")
         if virtual_nodes < 1:
@@ -154,43 +173,6 @@ class HashRing:
         return result
 
 
-@dataclass(frozen=True)
-class WorkerTierConfig:
-    """Supervision and routing knobs of the sharded tier."""
-
-    num_workers: int = 2
-    #: seconds between worker heartbeats.
-    heartbeat_interval: float = 0.5
-    #: missed beats before an *idle* worker is declared wedged.
-    heartbeat_misses: int = 8
-    #: respawns allowed per worker slot before it is lost for good.
-    max_worker_restarts: int = 3
-    #: base respawn backoff, doubled per restart (capped at 2 s).
-    restart_backoff: float = 0.1
-    #: grace beyond a request's deadline before its worker is killed.
-    hang_grace: float = 2.0
-    #: replays allowed per request before it fails typed.
-    max_replays: int = 2
-    #: max workers a hot graph may replicate onto.
-    hot_replicas: int = 3
-    #: hits on one routing key before replication widens (0 = never).
-    hot_threshold: int = 4
-    #: virtual nodes per slot on the hash ring.
-    virtual_nodes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts must be >= 0")
-        if self.max_replays < 0:
-            raise ValueError("max_replays must be >= 0")
-        if self.hot_replicas < 1:
-            raise ValueError("hot_replicas must be >= 1")
-
-
 class RemoteRequestError(RuntimeError):
     """A worker answered ``ok: false``; carries the typed payload.
 
@@ -222,16 +204,22 @@ class RemoteRequestError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
-def _worker_main(conn, index: int, config, tier: WorkerTierConfig) -> None:
-    """One engine worker: requests in, responses + heartbeats out.
+def _worker_main(conn, index: int, config) -> None:
+    """One engine worker: dispatches in, responses + heartbeats out.
 
-    Runs in a forked child.  SIGTERM/SIGINT are ignored — drain is the
-    front's job, coordinated over the pipe — and the worker exits when
-    the front says ``stop`` or the pipe dies.
+    Runs in a forked child around one
+    :class:`~repro.service.server.EngineHost` — the local dispatch the
+    in-process front runs too; admission, retry, breakers and the
+    journal stay with the front.  The worker keeps its own safety
+    code: the memory governor refuses a dispatch over the hard limit
+    (answered as a shed) and relieves pressure after each op.
+    SIGTERM/SIGINT are ignored — drain is the front's job, coordinated
+    over the pipe — and the worker exits when the front says ``stop``
+    or the pipe dies.
     """
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from .server import SCCService
+    from .server import EngineHost, error_response
 
     send_lock = threading.Lock()
 
@@ -246,11 +234,12 @@ def _worker_main(conn, index: int, config, tier: WorkerTierConfig) -> None:
     stop_beat = threading.Event()
 
     def beat() -> None:
-        while not stop_beat.wait(tier.heartbeat_interval):
+        while not stop_beat.wait(config.heartbeat_interval):
             if not send({"kind": "beat", "pid": os.getpid()}):
                 return
 
-    service = SCCService(config)
+    host = EngineHost(config)
+    counts = {"requests": 0, "completed": 0, "failed": 0}
     threading.Thread(target=beat, daemon=True).start()
     send({"kind": "ready", "pid": os.getpid()})
     try:
@@ -263,7 +252,23 @@ def _worker_main(conn, index: int, config, tier: WorkerTierConfig) -> None:
                 break  # front died; nothing left to serve
             kind = msg.get("kind")
             if kind == "request":
-                response = service.handle(msg["request"])
+                request = msg["request"]
+                counts["requests"] += 1
+                try:
+                    refused = (
+                        host.governor.refusal() if host.governor else None
+                    )
+                    if refused is not None:
+                        raise ServiceOverloadError(
+                            f"request refused: {refused}", reason="governor"
+                        )
+                    response = host.dispatch(
+                        request, msg["seq"], msg.get("attempt", 0)
+                    )
+                    counts["completed"] += 1
+                except Exception as exc:
+                    counts["failed"] += 1
+                    response = error_response(request, exc)
                 response["worker"] = index
                 if not send(
                     {
@@ -282,7 +287,7 @@ def _worker_main(conn, index: int, config, tier: WorkerTierConfig) -> None:
                 # originals were already answered.
                 for req in msg.get("requests", ()):
                     try:
-                        service.handle(req)
+                        host.dispatch(req)
                     except Exception:
                         pass
             elif kind == "stats":
@@ -290,14 +295,12 @@ def _worker_main(conn, index: int, config, tier: WorkerTierConfig) -> None:
                     {
                         "kind": "stats",
                         "token": msg.get("token"),
-                        "stats": service.stats(),
+                        "stats": dict(host.stats(), **counts),
                     }
                 )
             elif kind == "rebalance":
                 try:
-                    service.engine.set_max_sessions(
-                        int(msg["max_sessions"])
-                    )
+                    host.engine.set_max_sessions(int(msg["max_sessions"]))
                 except (KeyError, ValueError, TypeError):
                     pass
             elif kind == "stop":
@@ -305,7 +308,7 @@ def _worker_main(conn, index: int, config, tier: WorkerTierConfig) -> None:
     finally:
         stop_beat.set()
         try:
-            service.close()
+            host.close()
         except Exception:
             pass
         try:
@@ -319,23 +322,6 @@ def _worker_main(conn, index: int, config, tier: WorkerTierConfig) -> None:
 # ---------------------------------------------------------------------------
 class _WorkerHandle:
     """Front-side state of one worker slot."""
-
-    __slots__ = (
-        "index",
-        "proc",
-        "conn",
-        "send_lock",
-        "state",
-        "busy",
-        "last_beat",
-        "restarts",
-        "next_respawn_at",
-        "dispatched",
-        "completed",
-        "last_stats",
-        "stats_token",
-        "mutable_applied",
-    )
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -367,27 +353,21 @@ class _WorkerHandle:
     def pid(self) -> Optional[int]:
         return self.proc.pid if self.proc is not None else None
 
+    def close_conn(self) -> None:
+        if self.conn is not None:
+            try:
+                self.conn.close()
+            except OSError:
+                pass
+            self.conn = None
+
 
 class _InFlight:
     """One dispatched request the front is waiting on."""
 
-    __slots__ = (
-        "seq",
-        "request",
-        "budget",
-        "route_key",
-        "backend",
-        "event",
-        "response",
-        "error",
-        "worker",
-        "dispatched_at",
-        "deadline_at",
-        "replays",
-        "mutable_token",
-    )
-
-    def __init__(self, seq, request, budget, route_key, backend) -> None:
+    def __init__(
+        self, seq, request, budget, route_key, backend, attempt
+    ) -> None:
         self.seq = seq
         self.request = request
         self.budget = budget
@@ -402,6 +382,8 @@ class _InFlight:
         self.replays = 0
         #: set when this request must pin to a mutable session's owner.
         self.mutable_token: Optional[str] = None
+        #: the front's retry attempt, forwarded to the worker.
+        self.attempt = attempt
 
     def fail(self, exc: BaseException) -> None:
         if not self.event.is_set():
@@ -417,12 +399,13 @@ class _InFlight:
 class WorkerSupervisor:
     """Forks, routes to, watches, respawns and drains the worker fleet.
 
-    ``worker_config`` is the (already budget-sharded)
-    :class:`~repro.service.server.ServiceConfig` each worker builds its
-    own service from; it is treated as opaque here beyond
-    ``max_sessions`` (rebalanced when a slot is lost).
-    ``on_worker_failure(backend, worker)`` fires once per in-flight
-    request a dying worker was carrying — the front wires it into its
+    Reads its three operator knobs — ``worker_processes``,
+    ``heartbeat_interval``, ``max_worker_restarts`` — from the front's
+    :class:`~repro.service.server.ServiceConfig`; each worker builds
+    its engine host from :meth:`~repro.service.server.ServiceConfig.
+    shard`, the budget-divided slice.  ``on_worker_failure(backend,
+    worker)`` fires once per in-flight request a dying worker was
+    carrying — the front wires it into its
     :class:`~repro.service.retry.BackendBreakers` so worker death
     degrades traffic down the same ladder every other infra failure
     does.
@@ -430,8 +413,7 @@ class WorkerSupervisor:
 
     def __init__(
         self,
-        worker_config,
-        tier: Optional[WorkerTierConfig] = None,
+        config,
         *,
         journal: Optional[RequestJournal] = None,
         on_worker_failure: Optional[Callable[[str, int], None]] = None,
@@ -444,19 +426,21 @@ class WorkerSupervisor:
                 "the sharded serving tier requires the 'fork' "
                 "start method"
             )
-        self.tier = tier or WorkerTierConfig()
-        self.worker_config = worker_config
+        if config.worker_processes < 1:
+            raise ValueError("worker_processes must be >= 1")
+        if config.heartbeat_interval <= 0:
+            raise ValueError("heartbeat_interval must be positive")
+        if config.max_worker_restarts < 0:
+            raise ValueError("max_worker_restarts must be >= 0")
+        self.config = config
+        self.num_workers = config.worker_processes
+        self.worker_config = config.shard()
         self.journal = journal
         self.on_worker_failure = on_worker_failure
         self._clock = clock
         self._ctx = mp.get_context("fork")
-        self.ring = HashRing(
-            self.tier.num_workers,
-            virtual_nodes=self.tier.virtual_nodes,
-        )
-        self._handles = [
-            _WorkerHandle(i) for i in range(self.tier.num_workers)
-        ]
+        self.ring = HashRing(self.num_workers)
+        self._handles = [_WorkerHandle(i) for i in range(self.num_workers)]
         self._lock = threading.Lock()
         self._inflight: Dict[int, _InFlight] = {}
         self._key_hits: Dict[int, int] = {}
@@ -506,12 +490,7 @@ class WorkerSupervisor:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn,
-                handle.index,
-                self.worker_config,
-                self.tier,
-            ),
+            args=(child_conn, handle.index, self.worker_config),
             daemon=True,
             name=f"repro-serve-worker-{handle.index}",
         )
@@ -526,9 +505,11 @@ class WorkerSupervisor:
     @property
     def available(self) -> bool:
         """True while at least one worker is routable or coming back."""
-        if not self._started or self._draining:
-            return self._started and not self._draining and False
-        return any(h.state != "lost" for h in self._handles)
+        return (
+            self._started
+            and not self._draining
+            and any(h.state != "lost" for h in self._handles)
+        )
 
     @property
     def live_workers(self) -> int:
@@ -587,31 +568,30 @@ class WorkerSupervisor:
                 self._send(handle, {"kind": "stop"})
         for handle in self._handles:
             proc = handle.proc
-            if proc is None:
-                continue
-            proc.join(timeout=3.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - stubborn worker
-                proc.kill()
-                proc.join(timeout=1.0)
-        for handle in self._handles:
-            if handle.conn is not None:
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-                handle.conn = None
+            if proc is not None:
+                proc.join(timeout=3.0)
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=1.0)
+                if proc.is_alive():  # pragma: no cover - stubborn worker
+                    proc.kill()
+                    proc.join(timeout=1.0)
+            handle.close_conn()
             handle.state = "down"
         self._started = False
 
     # -- request path ---------------------------------------------------
     def execute(
-        self, request: dict, seq: int, *, budget: Optional[float] = None
+        self,
+        request: dict,
+        seq: int,
+        *,
+        budget: Optional[float] = None,
+        attempt: int = 0,
     ) -> dict:
-        """Dispatch one request and block until its response (or typed
-        failure).  Safe to call from many front threads at once."""
+        """Dispatch one attempt of a request and block until its
+        response (or typed failure).  Safe to call from many front
+        threads at once."""
         if not self._started:
             raise WorkerLostError("worker tier is not running")
         if self._draining:
@@ -634,11 +614,7 @@ class WorkerSupervisor:
             else routing_fingerprint(request)
         )
         entry = _InFlight(
-            seq,
-            request,
-            budget,
-            key,
-            request.get("backend", "serial"),
+            seq, request, budget, key, request.get("backend", "serial"), attempt
         )
         if pinned:
             entry.mutable_token = token
@@ -667,13 +643,8 @@ class WorkerSupervisor:
         return response
 
     def _replicas_for(self, key: int) -> int:
-        if self.tier.hot_threshold <= 0:
-            return 1
         hits = self._key_hits.get(key, 0)
-        return 1 + min(
-            self.tier.hot_replicas - 1,
-            hits // self.tier.hot_threshold,
-        )
+        return 1 + min(HOT_REPLICAS - 1, hits // HOT_THRESHOLD)
 
     def _dispatch_locked(
         self, entry: _InFlight, *, replay_reason: Optional[str] = None
@@ -715,7 +686,7 @@ class WorkerSupervisor:
         entry.worker = handle.index
         entry.dispatched_at = self._clock()
         entry.deadline_at = (
-            entry.dispatched_at + entry.budget + self.tier.hang_grace
+            entry.dispatched_at + entry.budget + HANG_GRACE
             if entry.budget is not None
             else None
         )
@@ -741,6 +712,7 @@ class WorkerSupervisor:
             {
                 "kind": "request",
                 "seq": entry.seq,
+                "attempt": entry.attempt,
                 "request": entry.request,
             },
         ):
@@ -785,7 +757,7 @@ class WorkerSupervisor:
     def _pump_loop(self) -> None:
         from multiprocessing.connection import wait as conn_wait
 
-        tick = min(0.1, self.tier.heartbeat_interval / 2)
+        tick = min(0.1, self.config.heartbeat_interval / 2)
         while not self._stop_pump.is_set():
             with self._lock:
                 conns = {
@@ -841,9 +813,7 @@ class WorkerSupervisor:
 
     def _check_liveness_locked(self) -> None:
         now = self._clock()
-        stale_after = (
-            self.tier.heartbeat_interval * self.tier.heartbeat_misses
-        )
+        stale_after = self.config.heartbeat_interval * HEARTBEAT_MISSES
         for handle in self._handles:
             if not handle.routable:
                 continue
@@ -887,25 +857,17 @@ class WorkerSupervisor:
             return
         self.deaths += 1
         handle.state = "down"
-        if handle.conn is not None:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.conn = None
+        handle.close_conn()
         if handle.proc is not None:
             handle.proc.join(timeout=0.5)
         orphans = list(handle.busy)
         handle.busy.clear()
-        if handle.restarts >= self.tier.max_worker_restarts:
+        if handle.restarts >= self.config.max_worker_restarts:
             handle.state = "lost"
             self.lost_workers += 1
             self._rebalance_locked()
         else:
-            backoff = min(
-                2.0,
-                self.tier.restart_backoff * (2 ** handle.restarts),
-            )
+            backoff = min(2.0, RESTART_BACKOFF * (2 ** handle.restarts))
             handle.next_respawn_at = self._clock() + backoff
         now = self._clock()
         for seq in orphans:
@@ -920,12 +882,10 @@ class WorkerSupervisor:
             entry.replays += 1
             self.replays += 1
             if entry.deadline_at is not None and now >= entry.deadline_at:
-                from ..errors import PhaseTimeoutError
-
                 entry.fail(
                     PhaseTimeoutError("request", entry.budget or 0.0)
                 )
-            elif entry.replays > self.tier.max_replays:
+            elif entry.replays > MAX_REPLAYS:
                 entry.fail(
                     WorkerLostError(
                         "request exhausted its replay budget",
@@ -965,22 +925,14 @@ class WorkerSupervisor:
 
     def _rebalance_locked(self) -> None:
         """Spread a lost slot's session budget over the survivors."""
-        per_worker = getattr(self.worker_config, "max_sessions", None)
-        if not per_worker:
-            return
-        survivors = [
-            h for h in self._handles if h.state != "lost"
-        ]
+        survivors = [h for h in self._handles if h.state != "lost"]
         if not survivors:
             return
-        total = per_worker * self.tier.num_workers
+        total = self.worker_config.max_sessions * self.num_workers
         share = max(1, total // len(survivors))
         for handle in survivors:
             if handle.routable:
-                self._send(
-                    handle,
-                    {"kind": "rebalance", "max_sessions": share},
-                )
+                self._send(handle, {"kind": "rebalance", "max_sessions": share})
 
     # -- introspection --------------------------------------------------
     def collect_stats(self, timeout: float = 2.0) -> None:
@@ -1024,7 +976,7 @@ class WorkerSupervisor:
                     "stats": h.last_stats,
                 }
             return {
-                "num_workers": self.tier.num_workers,
+                "num_workers": self.num_workers,
                 "live_workers": self.live_workers,
                 "draining": self._draining,
                 "deaths": self.deaths,

@@ -18,6 +18,7 @@ from repro.runtime import (
     SupervisorConfig,
     run_supervised_recur_phase,
 )
+from repro.runtime.faults import retarget, run_faults
 from repro.runtime.supervisor import repair_partition
 from tests.conftest import random_digraph, ring_of_rings, scipy_scc_labels
 
@@ -109,6 +110,42 @@ class TestFaultPlan:
             FaultSpec(kind="corrupt", site="request", array="color")
         # the phase site itself is fine
         FaultSpec(kind="corrupt", site="phase", array="labels")
+
+    def test_retarget_pins_flag_plans_to_one_site(self):
+        text = "raise@1,corrupt.indices@0,corrupt.labels@2:post,stall@3"
+        sites = [s.site for s in retarget(text, "request").specs]
+        # run-owned arrays keep firing at phase boundaries
+        assert sites == ["request", "request", "phase", "request"]
+        stream = retarget(text, "stream", hang_seconds=0.5).specs
+        # sources apply only the network kinds
+        assert [s.site for s in stream] == ["task", "task", "phase", "stream"]
+        assert stream[3].hang_seconds == 0.5
+        assert stream[0].hang_seconds == FaultSpec(kind="raise").hang_seconds
+        with pytest.raises(ValueError):
+            retarget("explode", "job")
+
+    def test_run_faults_slices_one_attempt(self):
+        carried = "raise@0,corrupt.indices@5,corrupt.labels@1:post"
+        plan = FaultPlan(
+            [
+                FaultSpec(kind="corrupt", site="job", index=2, array="indptr"),
+                FaultSpec(kind="corrupt", site="job", index=3, array="indptr"),
+            ]
+        )
+        first = run_faults(carried, 0, plan=plan, site="job", index=2)
+        assert first.backend == "supervised"
+        assert [s.kind for s in first.supervisor.fault_plan.specs] == [
+            "raise"
+        ]
+        # carried specs hit this run whatever their index; the plan's
+        # only where (site, index) matches
+        assert [s.array for s in first.flips] == ["indices", "indptr"]
+        assert [s.array for s in first.phase_plan.specs] == ["labels"]
+        retry = run_faults(carried, 1, plan=plan, site="job", index=2)
+        assert retry.flips == () and retry.phase_plan is None  # times=1
+        clean = run_faults()
+        assert clean.backend is None and clean.supervisor is None
+        assert clean.flips == () and clean.phase_plan is None
 
 
 class TestShmHygiene:

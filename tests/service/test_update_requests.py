@@ -34,6 +34,16 @@ def oracle_crc(edits):
     return crc32_chunks(labels.tobytes())
 
 
+def merging_edge():
+    """``(b, a)`` closing a cycle through a cross-SCC edge ``a -> b``:
+    inserting it merges two SCCs, so the labels visibly change."""
+    g = generate(GRAPH, scale=SCALE, seed=None).graph
+    labels = canonical_labels(tarjan_scc(g))
+    src = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    cross = np.flatnonzero(labels[src] != labels[g.indices])[0]
+    return int(g.indices[cross]), int(src[cross])
+
+
 def update_request(inserts=(), deletes=(), **extra):
     req = {
         "op": "update",
@@ -234,6 +244,25 @@ class TestMutableSessionIntegrity:
             assert isinstance(session.dynamic, DynamicSCC)
             session.dynamic.verify()
             assert session.version == resp["graph_version"]
+        finally:
+            svc.close()
+
+
+class TestMutableSessionEviction:
+    def test_lru_pressure_keeps_committed_edits(self):
+        """A full session cache must not evict a mutable session: its
+        edits live nowhere else, and a reload would answer ``ok`` from
+        the pre-update graph."""
+        svc = in_process_service(max_sessions=1)
+        try:
+            update = svc.handle(update_request(inserts=[merging_edge()]))
+            assert update["ok"] and update["graph_version"] == 1
+            other = svc.handle({"op": "run", "graph": GRAPH, "scale": 0.03})
+            assert other["ok"], other
+            back = svc.handle({"op": "run", "graph": GRAPH, "scale": SCALE})
+            assert back["ok"], back
+            assert back["graph_version"] == update["graph_version"]
+            assert back["labels_crc32"] == update["labels_crc32"]
         finally:
             svc.close()
 

@@ -7,6 +7,7 @@ graphs tiny.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -22,9 +23,10 @@ from repro.service.server import SCCService, ServiceConfig
 from repro.service.workers import (
     HashRing,
     RemoteRequestError,
-    WorkerTierConfig,
+    WorkerSupervisor,
     routing_fingerprint,
 )
+from tests.service.test_update_requests import merging_edge
 
 GRAPH, SCALE = "wiki", 0.05
 
@@ -91,12 +93,17 @@ class TestRoutingFingerprint:
 
 class TestTierConfig:
     def test_validation(self):
+        # the supervisor checks the tier knobs it reads from the config
         with pytest.raises(ValueError):
-            WorkerTierConfig(num_workers=0)
+            WorkerSupervisor(ServiceConfig(worker_processes=0))
         with pytest.raises(ValueError):
-            WorkerTierConfig(heartbeat_interval=0)
+            WorkerSupervisor(
+                ServiceConfig(worker_processes=2, heartbeat_interval=0)
+            )
         with pytest.raises(ValueError):
-            WorkerTierConfig(max_replays=-1)
+            WorkerSupervisor(
+                ServiceConfig(worker_processes=2, max_worker_restarts=-1)
+            )
 
     def test_shard_divides_budgets(self):
         cfg = ServiceConfig(
@@ -252,6 +259,61 @@ class TestShardedService:
         data = json.loads(report.read_text())
         assert data["workers"]["num_workers"] == 2
         assert data["journal"]["accepted"] == 1
+
+
+class TestOnePipeline:
+    """The front owns retries; workers run the same local dispatch as
+    the in-process path, over the engine that holds the graph."""
+
+    @pytest.fixture()
+    def service(self):
+        svc = SCCService(
+            ServiceConfig(worker_processes=2, heartbeat_interval=0.2)
+        )
+        yield svc
+        svc.drain()
+        svc.close()
+
+    def test_no_nested_retry(self, service):
+        rot = [{"kind": "corrupt", "array": "indices", "times": 10}]
+        resp = service.handle(
+            {
+                "op": "run",
+                "graph": GRAPH,
+                "scale": SCALE,
+                "fault_plan": json.dumps(rot),
+            }
+        )
+        assert not resp["ok"]
+        assert resp["error_type"] == "IntegrityError"
+        assert resp["attempts"] == 3  # the default policy's budget
+        service.supervisor.collect_stats()
+        fleet = service.stats()["workers"]["workers"].values()
+        detected = sum(
+            w["stats"]["integrity"]["detected"]
+            for w in fleet
+            if w["stats"] is not None
+        )
+        # one worker-side dispatch (and detection) per front attempt
+        assert detected == resp["attempts"]
+
+    def test_analysis_reads_the_worker_that_took_the_update(self, service):
+        update = service.handle(
+            {
+                "op": "update",
+                "graph": GRAPH,
+                "scale": SCALE,
+                "inserts": [list(merging_edge())],
+            }
+        )
+        assert update["ok"] and update["graph_version"] == 1, update
+        resp = service.handle(
+            {"op": "analysis", "graph": GRAPH, "scale": SCALE}
+        )
+        assert resp["ok"], resp
+        assert resp["graph_version"] == update["graph_version"]
+        assert resp["num_sccs"] == update["num_sccs"]
+        assert resp["worker"] == update["worker"]
 
 
 class TestDegradedTopology:
