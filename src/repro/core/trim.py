@@ -48,10 +48,24 @@ def effective_degrees(
     dense arrays (valid only at ``nodes``) plus the number of adjacency
     entries scanned (for work accounting).  Dispatched through the
     kernel layer — this is Par-Trim's big data-parallel region.
+
+    ``nodes`` holds distinct ids.  When it covers every node and every
+    node carries one colour — the state each first Par-Trim starts
+    from — every adjacency entry counts, so the degrees are the CSR row
+    lengths and the same entries are reported scanned.
     """
     g = state.graph
+    color = state.color
+    if nodes.size == g.num_nodes and (
+        nodes.size == 0 or color.min() == color.max()
+    ):
+        return (
+            np.diff(g.indptr),
+            np.diff(g.in_indptr),
+            int(g.indptr[-1] + g.in_indptr[-1]),
+        )
     return effective_degrees_arrays(
-        g.indptr, g.indices, g.in_indptr, g.in_indices, nodes, state.color
+        g.indptr, g.indices, g.in_indptr, g.in_indices, nodes, color
     )
 
 

@@ -15,7 +15,7 @@ What a session caches:
 * the :class:`~repro.graph.csr.CSRGraph` itself (load once);
 * the transpose CSR (built eagerly by :meth:`warmup`, reused by every
   backward traversal and by the supervised executor's pre-fork build);
-* the out/in effective-degree arrays (trim seeds);
+* the out/in degree arrays;
 * the structural validation verdict (:func:`repro.graph.validate.
   validate_graph` runs at most once per session);
 * a :class:`~repro.engine.shm.SharedStateMirror` sized for the graph;

@@ -1,8 +1,10 @@
 """Builders: edge arrays / edge lists -> :class:`CSRGraph`.
 
-All heavy lifting is vectorized: duplicate removal via ``lexsort`` and
-row construction via ``bincount``/``cumsum``, per the HPC-Python
-guidance of avoiding per-edge Python loops.
+All heavy lifting is vectorized: ``(src, dst)`` ordering via one
+composite-key sort (:func:`~repro.graph.csr.sort_edge_pairs`),
+duplicate removal on the sorted pairs, and row construction via
+``bincount``/``cumsum``, per the HPC-Python guidance of avoiding
+per-edge Python loops.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, sort_edge_pairs
 
 __all__ = [
     "dedup_edges",
@@ -36,6 +38,7 @@ def dedup_edges(
         Trim step's in/out-degree-zero test, so generators drop them.
 
     Returns the filtered ``(src, dst)`` pair, sorted lexicographically.
+    Endpoints are node ids, so negative ones are rejected.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -43,8 +46,11 @@ def dedup_edges(
         raise ValueError("src and dst must have the same shape")
     if src.size == 0:
         return src.copy(), dst.copy()
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    if min(src.min(), dst.min()) < 0:
+        raise ValueError("edge endpoints must be non-negative")
+    src, dst = sort_edge_pairs(
+        src, dst, int(max(src.max(), dst.max())) + 1
+    )
     keep = np.empty(src.shape[0], dtype=bool)
     keep[0] = True
     np.not_equal(src[1:], src[:-1], out=keep[1:])
@@ -99,14 +105,11 @@ def from_edge_array(
             )
     if dedup:
         src, dst = dedup_edges(src, dst, drop_self_loops=drop_self_loops)
-    elif drop_self_loops:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
     else:
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        if drop_self_loops:
+            keep = src != dst
+            src, dst = src[keep], dst[keep]
+        src, dst = sort_edge_pairs(src, dst, num_nodes)
     indptr, indices = build_csr_arrays(src, dst, num_nodes)
     return CSRGraph(indptr, indices, sorted_rows=True)
 

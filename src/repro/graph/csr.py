@@ -27,7 +27,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "sort_edge_pairs"]
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -123,14 +123,12 @@ class CSRGraph:
             np.arange(n, dtype=np.int64), np.diff(self._indptr)
         )
         dst = self._indices
-        order = np.argsort(dst, kind="stable")
-        in_indices = src[order]
+        # (dst, src) order: each in-row lists its sources ascending.
+        in_indices = sort_edge_pairs(dst, src, n)[1]
         counts = np.bincount(dst, minlength=n).astype(np.int64)
         in_indptr = np.concatenate(
             ([0], np.cumsum(counts, dtype=np.int64))
         )
-        # stable sort on dst keeps src ascending within each row because
-        # rows of the forward CSR are emitted in ascending src order.
         self._in_indptr = _as_readonly(in_indptr)
         self._in_indices = _as_readonly(in_indices)
 
@@ -196,7 +194,7 @@ class CSRGraph:
         One batched binary search against the row-sorted ``indices``
         array: edge ``us[i] -> vs[i]`` is present iff the composite key
         ``us[i] * (n + 1) + vs[i]`` occurs among the per-row keys (the
-        same total order :meth:`_sort_rows` sorts by, so the global
+        same total order :func:`sort_edge_pairs` sorts by, so the global
         array is key-sorted and a single ``searchsorted`` answers every
         query).  Returns a boolean array aligned with the inputs.
         """
@@ -283,17 +281,30 @@ class CSRGraph:
         return total
 
 
-def _sort_rows(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Sort each adjacency list ascending without Python-level loops.
+def sort_edge_pairs(
+    major: np.ndarray, minor: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort ``(major, minor)`` id pairs lexicographically, one key sort.
 
-    Sorting key: ``row_id * (n + 1) + dst`` is monotone in ``(row, dst)``
-    so one global argsort orders every row internally while preserving
-    row boundaries.
+    Both arrays hold node ids in ``[0, n)``.  The composite key
+    ``major * (n + 1) + minor`` is monotone in ``(major, minor)`` — the
+    key :meth:`CSRGraph.has_edges` probes — so one ``np.sort`` of the
+    keys orders every pair, and divmod by ``n + 1`` decodes them back.
+    Equal pairs are indistinguishable, so the output is exactly what a
+    stable ``lexsort`` would give.  The largest key, ``n * (n + 1) - 2``,
+    fits ``int64`` for ``n < 3.03e9``.
     """
+    base = np.int64(n + 1)
+    key = np.sort(np.asarray(major, dtype=np.int64) * base + minor)
+    major = key // base
+    return major, key - major * base
+
+
+def _sort_rows(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Sort each adjacency list ascending without Python-level loops:
+    sorting the ``(row, dst)`` pairs keeps every row boundary."""
     if indices.shape[0] == 0:
         return indices
     n = indptr.shape[0] - 1
     row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    key = row * np.int64(n + 1) + indices
-    order = np.argsort(key, kind="stable")
-    return indices[order]
+    return sort_edge_pairs(row, indices, n)[1]

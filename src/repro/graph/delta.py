@@ -13,7 +13,8 @@ mutable delta log over it:
   dead entries without touching the CSR arrays;
 * **insertions** — new edges land in per-node sorted add-lists
   (forward and transpose views), flattened lazily into a CSR-shaped
-  ``(add_indptr, add_indices)`` pair the kernels can gather from.
+  ``(add_indptr, add_indices)`` pair the kernels can gather from and
+  kept until an add-list changes (tombstone flips leave it valid).
 
 Traversals therefore see a *merged adjacency view* — surviving base
 entries plus delta insertions — through
@@ -34,6 +35,7 @@ the property the sharded serving tier's recovery leans on.
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -150,11 +152,16 @@ class DeltaCSR:
             return pos
         return -1
 
-    def _dirty(self) -> None:
+    def _dirty(self, *, adds: bool) -> None:
+        """Count a mutation and drop what it made stale.  The flattened
+        add-logs go only when an add-list changed (``adds``): a
+        tombstone flip lands in the masks, which the views hand out by
+        reference."""
         self.mutations += 1
         self._snapshot = None
-        self._add_csr = None
-        self._add_csr_in = None
+        if adds:
+            self._add_csr = None
+            self._add_csr_in = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -185,7 +192,7 @@ class DeltaCSR:
             self._tomb[pos] = False
             self._tomb_in[self._pos_in(u, v)] = False
             self._n_tomb -= 1
-            self._dirty()
+            self._dirty(adds=False)
             return True
         lst = self._add_out.setdefault(u, [])
         i = bisect.bisect_left(lst, v)
@@ -194,7 +201,7 @@ class DeltaCSR:
         lst.insert(i, v)
         bisect.insort(self._add_in.setdefault(v, []), u)
         self._n_add += 1
-        self._dirty()
+        self._dirty(adds=True)
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -217,14 +224,14 @@ class DeltaCSR:
                 if not lin:
                     del self._add_in[v]
                 self._n_add -= 1
-                self._dirty()
+                self._dirty(adds=True)
                 return True
         pos = self._pos_out(u, v)
         if pos >= 0 and not self._tomb[pos]:
             self._tomb[pos] = True
             self._tomb_in[self._pos_in(u, v)] = True
             self._n_tomb += 1
-            self._dirty()
+            self._dirty(adds=False)
             return True
         return False
 
@@ -232,14 +239,17 @@ class DeltaCSR:
     # Merged adjacency views
     # ------------------------------------------------------------------
     def _flatten(self, adds: Dict[int, List[int]]) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.num_nodes
-        counts = np.zeros(n, dtype=np.int64)
-        for u, lst in adds.items():
-            counts[u] = len(lst)
+        """CSR-shaped ``(add_indptr, add_indices)`` of one add-log,
+        filled in one pass over its rows in ascending order."""
+        rows = sorted(adds)
+        counts = np.zeros(self.num_nodes, dtype=np.int64)
+        counts[rows] = [len(adds[u]) for u in rows]
         indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for u, lst in adds.items():
-            indices[indptr[u] : indptr[u + 1]] = lst
+        indices = np.fromiter(
+            itertools.chain.from_iterable(adds[u] for u in rows),
+            dtype=np.int64,
+            count=int(indptr[-1]),
+        )
         return indptr, indices
 
     def forward_view(

@@ -98,10 +98,11 @@ VIRTUAL_NODES = 64
 _ROUTE_KEYS = ("graph", "scale", "seed", "on_error")
 
 #: the slice of the routing identity that names a *mutable* session.
-#: ``seed`` is deliberately absent: every request against a mutated
-#: graph must land on the one worker holding its delta state, whatever
-#: seed the run asks for.
-_MUTABLE_KEYS = ("graph", "scale", "on_error")
+#: ``seed`` and ``on_error`` are deliberately absent: every request
+#: against a mutated graph must land on the one worker holding its
+#: delta state, whatever seed or error policy it carries (a worker's
+#: engine maps every load of one source to one session).
+_MUTABLE_KEYS = ("graph", "scale")
 
 
 def routing_fingerprint(request: dict) -> int:

@@ -11,6 +11,7 @@ from repro.core import (
     par_trim_rescan,
 )
 from repro.graph import from_edge_list
+from repro.kernels import effective_degrees_arrays
 from tests.conftest import SMALL_GRAPHS, random_digraph, scipy_scc_labels
 
 
@@ -35,6 +36,28 @@ class TestEffectiveDegrees:
         s = SCCState(g)
         _, _, scanned = effective_degrees(s, np.arange(3))
         assert scanned == 6  # 3 out + 3 in
+
+    @pytest.mark.parametrize("color", [0, 7])
+    def test_fresh_state_matches_kernel(self, color):
+        # every node active, one colour: the degrees come from the
+        # CSR rows; self-loops and duplicate edges count like the sweep
+        g = from_edge_list(
+            [(0, 0), (0, 1), (0, 1), (1, 2), (2, 0), (2, 2), (3, 1)],
+            5,
+            dedup=False,
+        )
+        s = SCCState(g)
+        s.color[:] = color
+        nodes = np.flatnonzero(~s.mark)
+        got = effective_degrees(s, nodes)
+        want = effective_degrees_arrays(
+            g.indptr, g.indices, g.in_indptr, g.in_indices, nodes, s.color
+        )
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2] == 14
+        got[0][0] -= 1  # Par-Trim decrements in place
+        assert g.out_degree(0) == 3
 
 
 class TestParTrim:

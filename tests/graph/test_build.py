@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import (
+    CSRGraph,
     build_csr_arrays,
     dedup_edges,
     from_edge_array,
@@ -38,6 +39,10 @@ class TestDedup:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             dedup_edges(np.array([0]), np.array([0, 1]))
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError):
+            dedup_edges(np.array([0, -1]), np.array([1, 0]))
 
 
 class TestBuildArrays:
@@ -104,3 +109,67 @@ class TestFromEdgeList:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             from_edge_list([(0, 1, 2)])
+
+
+def lexsort_oracle(src, dst, n, *, dedup, drop_self_loops):
+    """Reference ``(indptr, indices, in_indptr, in_indices)``: edges
+    ordered by ``np.lexsort``, a stable lexicographic sort."""
+    if drop_self_loops:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if dedup and src.size:
+        keep = np.ones(src.size, dtype=bool)
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst = src[keep], dst[keep]
+
+    def rows(ids):
+        return np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=n))))
+
+    back = np.lexsort((src, dst))
+    return rows(src), dst, rows(dst), src[back]
+
+
+def _random_edges(seed, n, m):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, m), rng.integers(0, n, m)
+
+
+BUILD_CASES = {
+    # duplicates, self-loops and three trailing isolated nodes
+    "messy": (
+        np.array([3, 0, 2, 0, 2, 1, 3, 0, 2]),
+        np.array([0, 1, 2, 1, 0, 1, 3, 2, 0]),
+        7,
+    ),
+    "empty": (np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0),
+    "edgeless": (np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4),
+    "random": (*_random_edges(5, 60, 400), 64),
+}
+
+
+class TestKeySortMatchesLexsort:
+    """The composite-key sort builds the same arrays as ``lexsort``."""
+
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("drop_self_loops", [True, False])
+    def test_builders_and_transpose(self, case, dedup, drop_self_loops):
+        src, dst, n = BUILD_CASES[case]
+        want = lexsort_oracle(
+            src, dst, n, dedup=dedup, drop_self_loops=drop_self_loops
+        )
+        g = from_edge_array(
+            src, dst, n, dedup=dedup, drop_self_loops=drop_self_loops
+        )
+        got = (g.indptr, g.indices, g.in_indptr, g.in_indices)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == np.int64
+        # unsorted rows handed to the constructor sort the same way
+        perm = np.random.default_rng(0).permutation(g.num_edges)
+        src_rows = np.repeat(np.arange(n), np.diff(g.indptr))
+        order = np.lexsort((perm, src_rows))
+        raw = CSRGraph(g.indptr, g.indices[order])
+        np.testing.assert_array_equal(raw.indices, g.indices)

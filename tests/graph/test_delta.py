@@ -22,6 +22,25 @@ def mirror_graph(edges: set, n: int) -> CSRGraph:
     )
 
 
+def check_views(delta: DeltaCSR, mirror: set, n: int) -> None:
+    """Both kernel views hold an up-to-date flattened add-log and
+    expand every node to exactly the mirror's edges."""
+    every = np.arange(n, dtype=np.int64)
+    want = sorted(mirror)
+    for view, adds, reverse in (
+        (delta.forward_view(), delta._add_out, False),
+        (delta.backward_view(), delta._add_in, True),
+    ):
+        fresh_ptr, fresh_idx = delta._flatten(adds)
+        np.testing.assert_array_equal(view[3], fresh_ptr)
+        np.testing.assert_array_equal(view[4], fresh_idx)
+        targets, sources = delta_expand_frontier(
+            *view, every, return_sources=True
+        )
+        ends = (targets, sources) if reverse else (sources, targets)
+        assert sorted(zip(*(a.tolist() for a in ends))) == want
+
+
 def random_stream(rng, n, k):
     """``k`` random (insert?, u, v) operations."""
     return [
@@ -50,6 +69,8 @@ class TestMirrorFuzz:
                 mirror.discard((u, v))
             assert delta.num_edges == len(mirror)
             assert delta.has_edge(u, v) == ((u, v) in mirror)
+            # the add-logs cached across tombstone flips stay current
+            check_views(delta, mirror, n)
         # merged per-node views agree with the mirror on every node
         for u in range(n):
             want_out = sorted(v for (s, v) in mirror if s == u)
@@ -136,6 +157,26 @@ class TestCompaction:
 
 
 class TestKernelViews:
+    def test_tombstone_flips_keep_the_flattened_add_logs(self):
+        base = from_edge_array(
+            np.array([0, 1], dtype=np.int64),
+            np.array([1, 2], dtype=np.int64),
+            3,
+        )
+        delta = DeltaCSR(base)
+        assert delta.add_edge(2, 0)
+        fwd, bwd = delta.forward_view(), delta.backward_view()
+        # delete and resurrect a base edge: only the masks change
+        for flip in (delta.remove_edge, delta.add_edge):
+            assert flip(0, 1)
+            assert delta.forward_view()[3] is fwd[3]
+            assert delta.backward_view()[4] is bwd[4]
+            assert delta.forward_view()[2] is fwd[2]
+        # an add-list change drops them
+        assert delta.add_edge(2, 1)
+        assert delta.forward_view()[4].tolist() == [0, 1]
+        assert delta.backward_view()[4].tolist() == [2, 2]
+
     @pytest.mark.parametrize("backend", ["numpy", "numba"])
     def test_delta_expand_matches_merged_neighbors(self, backend):
         n = 25

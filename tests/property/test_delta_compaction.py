@@ -79,13 +79,12 @@ def check_parity(delta, model):
     snap = delta.snapshot()
     assert snap.num_nodes == want.num_nodes
     assert snap.num_edges == want.num_edges == len(model)
+    # rows are sorted in both, so the arrays match exactly, transpose
+    # included
     np.testing.assert_array_equal(snap.indptr, want.indptr)
-    # CSR adjacency is order-insensitive: compare sorted rows
-    for u in range(g.num_nodes):
-        np.testing.assert_array_equal(
-            np.sort(snap.indices[snap.indptr[u]:snap.indptr[u + 1]]),
-            np.sort(want.indices[want.indptr[u]:want.indptr[u + 1]]),
-        )
+    np.testing.assert_array_equal(snap.indices, want.indices)
+    np.testing.assert_array_equal(snap.in_indptr, want.in_indptr)
+    np.testing.assert_array_equal(snap.in_indices, want.in_indices)
     # membership and per-node neighbor queries agree with the model
     for u, v in model:
         assert delta.has_edge(u, v)

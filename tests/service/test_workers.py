@@ -316,6 +316,42 @@ class TestOnePipeline:
         assert resp["worker"] == update["worker"]
 
 
+class TestMutablePinning:
+    """A mutated graph pins by ``(graph, scale)`` alone, so requests
+    carrying another ``on_error`` policy still reach its owner."""
+
+    @pytest.fixture()
+    def service(self):
+        svc = SCCService(
+            ServiceConfig(worker_processes=3, heartbeat_interval=0.2)
+        )
+        yield svc
+        svc.drain()
+        svc.close()
+
+    def test_on_error_does_not_split_the_pin(self, service):
+        # `repro stream --connect` sends its feed policy ("skip" by
+        # default) as every update's on_error; reads carry none.
+        update = service.handle(
+            {
+                "op": "update",
+                "graph": GRAPH,
+                "scale": SCALE,
+                "on_error": "skip",
+                "inserts": [list(merging_edge())],
+            }
+        )
+        assert update["ok"] and update["graph_version"] == 1, update
+        for op in ("run", "analysis"):
+            resp = service.handle(
+                {"op": op, "graph": GRAPH, "scale": SCALE}
+            )
+            assert resp["ok"], resp
+            assert resp["worker"] == update["worker"], (op, resp)
+            assert resp["graph_version"] == update["graph_version"], resp
+            assert resp["num_sccs"] == update["num_sccs"], resp
+
+
 class TestDegradedTopology:
     def test_single_worker_stays_in_process(self):
         cfg = ServiceConfig(worker_processes=1)
