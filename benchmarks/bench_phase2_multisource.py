@@ -5,12 +5,14 @@ Reconstructs the workload the batched kernel exists for — the
 from an R-MAT graph: Par-FWBW (no trim, so the tail survives into
 phase 2) followed by Par-WCC leaves thousands of tiny independent
 colour partitions.  Each cell drains that queue through the serial
-driver, per-pivot vs ``--phase2-batch``, under each kernel backend
+driver, per-pivot vs batched, under each kernel backend
 (``numpy`` reference tier, and the ``numba`` slot — the tuned
 fastpath tier when numba itself is not importable).  Every compared
 cell asserts bit-identical labels and an identical task trace before
 reporting any timing; ``--check`` additionally gates the batched
-speedup on the numba tier.  Writes a machine-readable
+speedup on the numba tier.  The batched arm is the default drain
+(``recurfwbw.BATCH_POLICY``); the per-pivot arm patches that policy to
+width 1, which never batches.  Writes a machine-readable
 ``BENCH_phase2.json``.
 """
 
@@ -52,14 +54,20 @@ def tail_workload(scale, seed):
 
 def drain(scale, seed, *, batch):
     """Time one serial phase-2 drain; return (state, row)."""
-    from repro.core.recurfwbw import run_recur_phase
+    from unittest import mock
 
-    state, items = tail_workload(scale, seed)
-    t0 = time.perf_counter()
-    tasks = run_recur_phase(
-        state, items, backend="serial", phase2_batch=batch
+    from repro.core import recurfwbw
+
+    policy = (
+        recurfwbw.BATCH_POLICY
+        if batch
+        else recurfwbw.Phase2BatchPolicy(width=1)
     )
-    wall = time.perf_counter() - t0
+    state, items = tail_workload(scale, seed)
+    with mock.patch.object(recurfwbw, "BATCH_POLICY", policy):
+        t0 = time.perf_counter()
+        tasks = recurfwbw.run_recur_phase(state, items, backend="serial")
+        wall = time.perf_counter() - t0
     row = {
         "tasks": tasks,
         "queue_items": len(items),

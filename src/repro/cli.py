@@ -165,13 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "proves FW∧BW membership for sampled SCCs, 'full' adds an "
         "independent Tarjan cross-check; a failed proof exits 20",
     )
-    p_scc.add_argument(
-        "--phase2-batch",
-        action="store_true",
-        help="drain the Recur-FWBW tail in bit-parallel multi-source "
-        "batches (up to 64 pivots per CSR sweep); labels stay "
-        "bit-identical to the per-pivot path (method1/method2 only)",
-    )
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -756,8 +749,6 @@ def _cmd_scc(args) -> int:
         if backend != "serial":
             kwargs["backend"] = backend
             kwargs["num_threads"] = args.workers
-        if args.phase2_batch and args.method in ("method1", "method2"):
-            kwargs["phase2_batch"] = True
         if backend == "supervised":
             from .runtime import FaultPlan, SupervisorConfig
 

@@ -41,7 +41,6 @@ def method1_phases(
     backend: str = "serial",
     num_threads: int = 4,
     supervisor=None,
-    phase2_batch=False,
 ) -> List[PhaseSpec]:
     """The Algorithm 6 pipeline as a checkpointable phase plan."""
 
@@ -75,7 +74,6 @@ def method1_phases(
             supervisor=supervisor,
             deadline=ctx.get("deadline"),
             session=ctx.get("session"),
-            phase2_batch=phase2_batch,
         )
 
     return [

@@ -43,7 +43,6 @@ def method2_phases(
     backend: str = "serial",
     num_threads: int = 4,
     supervisor=None,
-    phase2_batch=False,
 ) -> List[PhaseSpec]:
     """The Algorithm 9 pipeline as a checkpointable phase plan.
 
@@ -88,7 +87,6 @@ def method2_phases(
             supervisor=supervisor,
             deadline=ctx.get("deadline"),
             session=ctx.get("session"),
-            phase2_batch=phase2_batch,
         )
 
     plan = [

@@ -20,8 +20,11 @@ Two executors drain the phase — the serial worklist (default; used
 for trace collection) and the supervised process pool — resolved
 through :mod:`repro.engine.backends`.  Both record the task spawn tree
 into the trace so the simulated scheduler can replay it at any thread
-count, and both group the queue with the one batch planner,
-:func:`plan_batches`.
+count, both group the queue with the one batch planner,
+:func:`plan_batches` (always under :data:`BATCH_POLICY`), and both run
+each planned unit through :func:`run_unit` — the supervised workers
+against a worker-side state over shared memory
+(:mod:`repro.runtime.mp_backend`).
 """
 
 from __future__ import annotations
@@ -46,11 +49,12 @@ from .state import PHASE_RECUR, SCCState
 __all__ = [
     "WorkItem",
     "Phase2BatchPolicy",
-    "resolve_batch_policy",
+    "BATCH_POLICY",
     "plan_batches",
     "multi_source_reach",
     "recur_fwbw_task",
     "recur_fwbw_batch_task",
+    "run_unit",
     "run_recur_phase",
     "collect_color_sets",
 ]
@@ -102,20 +106,13 @@ class Phase2BatchPolicy:
             )
 
 
-def resolve_batch_policy(
-    flag: Union[bool, None, Phase2BatchPolicy]
-) -> Optional[Phase2BatchPolicy]:
-    """Normalize the ``phase2_batch`` knob to a policy (or None = off)."""
-    if flag is None or flag is False:
-        return None
-    if flag is True:
-        return Phase2BatchPolicy()
-    if isinstance(flag, Phase2BatchPolicy):
-        return flag
-    raise TypeError(
-        f"phase2_batch must be a bool or Phase2BatchPolicy, "
-        f"got {type(flag).__name__}"
-    )
+#: the one phase-2 drain policy both executors plan with.  Item size
+#: is the only selector: a large partition amortizes its own traversal
+#: overhead on the per-pivot DFS, so large, scan-representation and
+#: retried items keep it.  Tests and benchmarks get the per-pivot
+#: reference drain by patching this to ``Phase2BatchPolicy(width=1)``,
+#: which never reaches ``min_run``.
+BATCH_POLICY = Phase2BatchPolicy()
 
 
 def _item_batchable(item: WorkItem, policy: Phase2BatchPolicy) -> bool:
@@ -132,7 +129,7 @@ def _item_batchable(item: WorkItem, policy: Phase2BatchPolicy) -> bool:
 
 
 def plan_batches(
-    items: Sequence[WorkItem], policy: Optional[Phase2BatchPolicy]
+    items: Sequence[WorkItem], policy: Optional[Phase2BatchPolicy] = None
 ) -> List[Union[WorkItem, List[WorkItem]]]:
     """Group a queue segment into batch runs and per-pivot singles.
 
@@ -145,9 +142,11 @@ def plan_batches(
     planner enforces it so a hand-built queue cannot silently corrupt
     a batch.  Entry order (and within a run, item order) is queue
     order, which is what keeps a batched drain bit-identical to the
-    per-pivot one.  Without a policy the items pass through as
-    singles.
+    per-pivot one.  ``policy`` defaults to :data:`BATCH_POLICY`, read
+    at call time.
     """
+    if policy is None:
+        policy = BATCH_POLICY
     entries: List[Union[WorkItem, List[WorkItem]]] = []
     run: List[WorkItem] = []
     run_colors: set[int] = set()
@@ -163,8 +162,6 @@ def plan_batches(
         run = []
         run_colors = set()
 
-    if policy is None:
-        return list(items)
     for item in items:
         if not _item_batchable(item, policy):
             flush()
@@ -246,7 +243,8 @@ def recur_fwbw_batch_task(
     sequence, same SCC label order, same per-task trace records and
     scanned-edge attribution (DESIGN.md §13 gives the equivalence
     argument).  Returns the per-item ``(children, task_cost)`` list,
-    aligned with ``items``.
+    aligned with ``items``.  ``state`` is an :class:`SCCState` or a
+    supervised worker's :class:`~repro.runtime.mp_backend.WorkerState`.
     """
     g, color, cost = state.graph, state.color, state.cost
 
@@ -400,7 +398,11 @@ def recur_fwbw_task(
     *,
     pivot_strategy: str = "random",
 ) -> Tuple[List[WorkItem], float]:
-    """Execute one Recur-FWBW task; returns (children, task cost)."""
+    """Execute one Recur-FWBW task; returns (children, task cost).
+
+    ``state`` is an :class:`SCCState` or a supervised worker's
+    :class:`~repro.runtime.mp_backend.WorkerState`.
+    """
     g, color = state.graph, state.color
     cost = state.cost
     c = item.color
@@ -461,6 +463,23 @@ def recur_fwbw_task(
     return children, task_cost
 
 
+def run_unit(
+    state: SCCState,
+    unit: Union[WorkItem, List[WorkItem]],
+    *,
+    pivot_strategy: str = "random",
+) -> Tuple[List[WorkItem], List[Tuple[List[WorkItem], float]]]:
+    """Run one :func:`plan_batches` entry — a batch run or a single
+    item; returns ``(members, [(children, task_cost), ...])``."""
+    if isinstance(unit, list):
+        return unit, recur_fwbw_batch_task(
+            state, unit, pivot_strategy=pivot_strategy
+        )
+    return [unit], [
+        recur_fwbw_task(state, unit, pivot_strategy=pivot_strategy)
+    ]
+
+
 def run_recur_phase(
     state: SCCState,
     initial: Sequence[Tuple[int, Optional[np.ndarray]]],
@@ -473,7 +492,6 @@ def run_recur_phase(
     supervisor=None,
     deadline: Optional[float] = None,
     session=None,
-    phase2_batch: Union[bool, Phase2BatchPolicy] = False,
 ) -> int:
     """Drain the phase-2 work queue; returns the number of tasks run.
 
@@ -493,10 +511,9 @@ def run_recur_phase(
     shared-memory mirror and forked worker pool the supervised
     executor reuses instead of rebuilding per run.
 
-    ``phase2_batch`` turns on the bit-parallel multi-source tail
-    (``True`` for the default :class:`Phase2BatchPolicy`, or a policy
-    instance): small-task storms are drained in groups of ≤64 pivots
-    per CSR sweep, bit-identically to the per-pivot path.
+    Small-task storms are drained in groups of ≤64 pivots per CSR
+    sweep (:data:`BATCH_POLICY`), bit-identically to the per-pivot
+    path.
     """
     # Imported lazily: repro.engine imports this module at load time.
     from ..engine.backends import get_executor
@@ -511,7 +528,6 @@ def run_recur_phase(
         supervisor=supervisor,
         deadline=deadline,
         session=session,
-        phase2_batch=resolve_batch_policy(phase2_batch),
     )
 
 

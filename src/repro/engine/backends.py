@@ -9,14 +9,18 @@ drivers do it:
   fault-tolerance supervisor (:mod:`repro.runtime.supervisor`):
   per-task timeouts, retry with colour repair, a serial fallback when
   the pool breaks, and post-phase verification.  With
-  ``max_task_retries=0`` it is the plain process pool.
+  ``max_task_retries=0`` it is the plain process pool.  Its workers
+  run the serial task bodies against a worker-side state
+  (:mod:`repro.runtime.mp_backend`).
 
 Both drain the queue one generation at a time in FIFO order, so task
 indices and the recorded spawn tree match the plain worklist; both
 group a generation with the one batch planner
-(:func:`repro.core.recurfwbw.plan_batches`), and both raise
-:class:`~repro.errors.PhaseTimeoutError` once an absolute ``deadline``
-passes.  :func:`get_executor` resolves a backend name to its drive
+(:func:`repro.core.recurfwbw.plan_batches`, always under
+``BATCH_POLICY``: the small-partition tail is batched by default) and
+run each unit through the same task bodies
+(:func:`repro.core.recurfwbw.run_unit`), and both raise :class:`~repro.errors.PhaseTimeoutError` once an absolute
+``deadline`` passes.  :func:`get_executor` resolves a backend name to its drive
 function; :data:`BACKEND_NAMES` lists the names (CLI choices,
 validation).
 """
@@ -47,22 +51,13 @@ def drive_serial(
     supervisor=None,
     deadline: Optional[float] = None,
     session=None,
-    phase2_batch=None,
 ) -> int:
     """Drain the queue in-process; returns the number of tasks run.
 
-    ``phase2_batch`` is a resolved
-    :class:`~repro.core.recurfwbw.Phase2BatchPolicy` (or None =
-    per-pivot only); batched runs are bit-identical to the per-pivot
-    drain.  ``num_workers``, ``supervisor`` and ``session`` are
-    accepted for a uniform driver signature and ignored.
+    ``num_workers``, ``supervisor`` and ``session`` are accepted for a
+    uniform driver signature and ignored.
     """
-    from ..core.recurfwbw import (
-        WorkItem,
-        plan_batches,
-        recur_fwbw_batch_task,
-        recur_fwbw_task,
-    )
+    from ..core.recurfwbw import WorkItem, plan_batches, run_unit
     from ..runtime.trace import Task
 
     start = time.monotonic()
@@ -73,23 +68,15 @@ def drive_serial(
     pending = [WorkItem(color=c, nodes=nd) for c, nd in initial]
     while pending:
         generation, pending = pending, []
-        for unit in plan_batches(generation, phase2_batch):
+        for unit in plan_batches(generation):
             if deadline is not None and time.monotonic() >= deadline:
                 raise PhaseTimeoutError(phase, time.monotonic() - start)
+            members, results = run_unit(
+                state, unit, pivot_strategy=pivot_strategy
+            )
             if isinstance(unit, list):
-                members = unit
-                results = recur_fwbw_batch_task(
-                    state, members, pivot_strategy=pivot_strategy
-                )
                 n_batches += 1
                 n_batched += len(members)
-            else:
-                members = [unit]
-                results = [
-                    recur_fwbw_task(
-                        state, unit, pivot_strategy=pivot_strategy
-                    )
-                ]
             for item, (children, task_cost) in zip(members, results):
                 idx = len(tasks)
                 tasks.append(Task(cost=task_cost, parent=item.parent))
@@ -115,7 +102,6 @@ def drive_supervised(
     supervisor=None,
     deadline: Optional[float] = None,
     session=None,
-    phase2_batch=None,
 ) -> int:
     """Drain the queue on supervised worker processes (POSIX fork;
     falls back to the serial driver without it).  ``supervisor`` is a
@@ -133,7 +119,6 @@ def drive_supervised(
         pivot_strategy=pivot_strategy,
         config=supervisor,
         session=session,
-        phase2_batch=phase2_batch,
         deadline=deadline,
     )
     return report.tasks

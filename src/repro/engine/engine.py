@@ -55,6 +55,27 @@ def _phase_factory(method: str):
     return {"method1": method1_phases, "method2": method2_phases}.get(method)
 
 
+def method_options(method: str) -> frozenset:
+    """The keywords an outside caller may set for ``method``: its own
+    keyword-only parameters, minus the executor keywords
+    :meth:`Engine.run` sets from its own parameters.  Raises
+    ``ValueError`` for an unknown method."""
+    import inspect
+
+    from ..core.api import METHODS
+
+    fn = _phase_factory(method) or METHODS.get(method)
+    if fn is None:
+        raise ValueError(
+            f"unknown method {method!r}; choose from {sorted(METHODS)}"
+        )
+    return frozenset(
+        p.name
+        for p in inspect.signature(fn).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    ) - {"backend", "num_threads", "supervisor", "seed", "cost"}
+
+
 def check_method_options(method: str, options) -> None:
     """Refuse an outside ``options`` dict (a serve request's, a batch
     job's) naming anything but ``method``'s own keywords.
@@ -64,25 +85,11 @@ def check_method_options(method: str, options) -> None:
     SIGALRM, ``deadline``, ...) are the caller's, not a client's.
     Raises ``ValueError`` (a permanent failure).
     """
-    import inspect
-
-    from ..core.api import METHODS
-
     if not options:
         return
     if not isinstance(options, dict):
         raise ValueError("options must be a mapping of method keywords")
-    fn = _phase_factory(method) or METHODS.get(method)
-    if fn is None:
-        raise ValueError(
-            f"unknown method {method!r}; choose from {sorted(METHODS)}"
-        )
-    # the executor keywords Engine.run sets from its own parameters
-    known = {
-        p.name
-        for p in inspect.signature(fn).parameters.values()
-        if p.kind is p.KEYWORD_ONLY
-    } - {"backend", "num_threads", "supervisor", "seed", "cost"}
+    known = method_options(method)
     unknown = sorted(set(options) - known)
     if unknown:
         raise ValueError(

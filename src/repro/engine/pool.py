@@ -13,7 +13,12 @@ around ``multiprocessing.Pool``:
 * a condemned pool is replaced wholesale by :meth:`rebuild` — a hung
   worker could keep mutating shared memory, so the supervisor never
   reuses a pool it has given up on;
-* :meth:`terminate` is idempotent and safe on every exit path.
+* :meth:`terminate` is idempotent and safe on every exit path.  It
+  stops the workers with SIGTERM, so every worker restores the default
+  SIGTERM disposition first: a caller that ignores or handles SIGTERM
+  (``repro serve``'s drain, ``run_batch``'s interrupt guard, sharded
+  serve workers) would otherwise hand that to its workers, and a
+  condemned pool could never be joined.
 
 ``spawns`` counts forks over the pool's lifetime; the session layer
 uses it to prove warm runs pay no respawn.
@@ -22,11 +27,17 @@ uses it to prove warm runs pay no respawn.
 from __future__ import annotations
 
 import multiprocessing as mp
+import signal
 from typing import Callable, Optional
 
 from .shm import disarm_worker_context
 
 __all__ = ["WorkerPool", "fork_available"]
+
+
+def _default_sigterm() -> None:
+    """Pool initializer: SIGTERM kills the worker (see module doc)."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def fork_available() -> bool:
@@ -71,7 +82,9 @@ class WorkerPool:
         if self._arm is not None:
             self._arm()
         try:
-            self._pool = self._ctx.Pool(processes=self.num_workers)
+            self._pool = self._ctx.Pool(
+                processes=self.num_workers, initializer=_default_sigterm
+            )
             self.spawns += 1
         finally:
             # Workers inherited their copy at fork; the parent-side

@@ -372,7 +372,6 @@ class GraphSession:
         mirror, which workers re-read on every task.
         """
         self._check_open()
-        from ..core.state import PHASE_RECUR
         from ..kernels import get_backend
 
         if kernel_backend is None:
@@ -399,7 +398,6 @@ class GraphSession:
                 self.graph,
                 mirror,
                 cost=self.cost,
-                phase_id=PHASE_RECUR,
                 faults=faults,
                 kernel_backend=kernel_backend,
             )

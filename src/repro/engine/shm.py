@@ -154,7 +154,6 @@ def arm_worker_context(
     mirror: SharedStateMirror,
     *,
     cost,
-    phase_id: int,
     faults=None,
     kernel_backend: Optional[str] = None,
 ) -> None:
@@ -178,7 +177,6 @@ def arm_worker_context(
         phase_of=mirror.phase_of,
         scc_counter=mirror.scc_counter,
         cost=cost,
-        phase_id=phase_id,
         faults=faults,
         kernel_backend=kernel_backend,
     )

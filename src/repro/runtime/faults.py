@@ -14,9 +14,10 @@ pool rebuilds and retries.
 
 Injection sites:
 
-* ``"task"`` — the phase-2 Recur-FWBW task kernel
-  (:func:`repro.runtime.mp_backend._exec_task`); the supervisor
-  numbers every dispatch with a monotone sequence id.
+* ``"task"`` — a phase-2 Recur-FWBW task in a supervised worker
+  (:func:`repro.runtime.mp_backend.exec_unit`, which runs the serial
+  task bodies); the supervisor numbers every task with a monotone
+  sequence id, and every member of a batched unit keeps its own.
 * ``"phase"`` — the pipeline phases of :meth:`repro.engine.Engine.run`
   (and its resume entry point); the index is the phase position in
   the plan and the stage maps to the checkpoint boundary (``"pre"`` =
@@ -47,10 +48,14 @@ Injection sites:
 Each fault fires at one *stage* of the task lifecycle:
 
 * ``"pre"`` — before any shared-state mutation (trivially retry-safe),
-* ``"mid"`` — after the FW/BW recolouring but before the SCC commit
+* ``"mid"`` — on entry to the SCC commit, after the FW/BW recolouring
   (retry requires colour repair; see :mod:`repro.runtime.supervisor`),
 * ``"post"`` — after the commit but before the children reach the
   master (the SCC survives; the child partitions need repair).
+
+A ``poison`` fault corrupts the label write right after the commit.
+In a batched unit every member's ``mid`` fires before the batch
+commits any SCC, and a fault on one member fails the whole unit.
 
 The hook is zero-overhead when off: executors hold a plan reference
 that is ``None`` in normal runs and guard every call site with a

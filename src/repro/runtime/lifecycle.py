@@ -24,6 +24,7 @@ run configuration.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
@@ -123,8 +124,6 @@ def _supervisor_to_dict(cfg: Optional[SupervisorConfig]) -> Optional[dict]:
         "max_task_retries": cfg.max_task_retries,
         "backoff_base": cfg.backoff_base,
         "grace": cfg.grace,
-        "verify": cfg.verify,
-        "always_cross_check": cfg.always_cross_check,
     }
 
 
@@ -178,8 +177,17 @@ def run_meta(
 def run_config(meta: Mapping) -> dict:
     """:meth:`~repro.engine.Engine.run` keywords that continue the run
     a checkpoint recorded (method, seed, executor, budgets and method
-    options)."""
+    options).
+
+    Older checkpoints may record options that no longer exist — the
+    supervisor's ``verify``/``always_cross_check`` (verification is
+    now unconditional) and Method 1/2's batch-tail switch (the tail is
+    always batched).  Labels depend on none of them, so whatever the
+    current :class:`SupervisorConfig` and method signature do not take
+    is dropped.
+    """
     from ..engine.backends import BACKEND_NAMES
+    from ..engine.engine import method_options
 
     backend = meta["backend"]
     if backend not in BACKEND_NAMES:
@@ -187,16 +195,21 @@ def run_config(meta: Mapping) -> dict:
         # executors; the serial driver is the reference for both.
         backend = "serial"
     supervisor = meta.get("supervisor")
+    if supervisor is not None:
+        fields = {f.name for f in dataclasses.fields(SupervisorConfig)}
+        supervisor = SupervisorConfig(
+            **{k: v for k, v in supervisor.items() if k in fields}
+        )
+    known = method_options(meta["method"])
+    config = {k: v for k, v in meta["config"].items() if k in known}
     return dict(
         method=meta["method"],
         seed=meta["seed"],
         backend=backend,
         num_workers=meta["num_threads"],
         phase_timeout=meta.get("phase_timeout"),
-        supervisor=(
-            None if supervisor is None else SupervisorConfig(**supervisor)
-        ),
-        **meta["config"],
+        supervisor=supervisor,
+        **config,
     )
 
 

@@ -3,8 +3,10 @@
 This is the one process executor.  ``multiprocessing.Pool`` on its own
 is correct but fragile — it silently respawns a crashed worker and
 never completes its lost result, so a single worker death or hung task
-would wedge the whole run.  The supervisor wraps the worker task
-bodies (:mod:`repro.runtime.mp_backend`) so the phase survives:
+would wedge the whole run.  The supervisor dispatches each planned
+unit (:func:`~repro.core.recurfwbw.plan_batches`) to a worker, which
+runs the serial task bodies over shared memory
+(:func:`repro.runtime.mp_backend.exec_unit`), so the phase survives:
 
 * **per-task deadlines** — every result wait is bounded; a worker that
   crashes or hangs surfaces as a timeout instead of a deadlock;
@@ -23,7 +25,8 @@ bodies (:mod:`repro.runtime.mp_backend`) so the phase survives:
   into shared memory is confined to those three colours and is undone
   by :func:`repair_partition` before the retry (nodes whose SCC commit
   completed stay detached — removing a whole SCC from a partition
-  leaves a valid partition);
+  leaves a valid partition).  A failed batch unit fails all its
+  members, and each is repaired and retried alone;
 * **graceful degradation** — when the retry budget is exhausted (or
   verification fails), the state rolls back to a snapshot taken at
   phase entry and the serial driver finishes the phase;
@@ -55,7 +58,7 @@ from ..engine.pool import WorkerPool, fork_available
 from ..engine.shm import SharedStateMirror, arm_worker_context
 from ..errors import PhaseTimeoutError, ReproError
 from .faults import FaultPlan
-from .mp_backend import _exec_batch_task, _exec_task
+from .mp_backend import exec_unit
 
 __all__ = [
     "SupervisorConfig",
@@ -84,10 +87,6 @@ class SupervisorConfig:
     backoff_base: float = 0.05
     #: extra wait granted to in-flight siblings once a failure is seen.
     grace: float = 0.25
-    #: run the structural invariant verifier after the phase.
-    verify: bool = True
-    #: force the Tarjan cross-check even on clean runs.
-    always_cross_check: bool = False
     #: deterministic fault-injection plan (tests/demos only).
     fault_plan: Optional[FaultPlan] = None
 
@@ -116,8 +115,10 @@ class SupervisorReport:
 
 @dataclass
 class _STask:
-    """One supervised work item (master-side bookkeeping); batched by
-    :func:`~repro.core.recurfwbw.plan_batches` like a ``WorkItem``."""
+    """A :class:`~repro.core.recurfwbw.WorkItem` plus the master's
+    bookkeeping: its dispatch sequence id (what task-site faults
+    match) and its pre-allocated colour triple.  Planned and run
+    wherever a ``WorkItem`` is; workers receive it as is."""
 
     seq: int
     color: int
@@ -171,7 +172,6 @@ def run_supervised_recur_phase(
     pivot_strategy: str = "random",
     config: SupervisorConfig | None = None,
     session=None,
-    phase2_batch=None,
     deadline: Optional[float] = None,
 ) -> SupervisorReport:
     """Drain the phase-2 queue under supervision; always terminates.
@@ -205,7 +205,6 @@ def run_supervised_recur_phase(
                 phase=phase,
                 pivot_strategy=pivot_strategy,
                 deadline=deadline,
-                phase2_batch=phase2_batch,
             )
         profile.bump("supervisor_degrade_" + reason)
 
@@ -222,40 +221,33 @@ def run_supervised_recur_phase(
                 cfg,
                 report,
                 session,
-                phase2_batch,
                 deadline,
             )
         except PoolBrokenError:
             _degrade("pool_broken")
 
-    if cfg.verify:
-        # Full verification (density + Tarjan) is only meaningful when
-        # the phase resolved everything; a deliberately partial phase
-        # (tests seeding a subset) still gets the structural checks.
-        complete = state.unfinished() == 0
-        cross = complete and (
-            cfg.always_cross_check
-            or cfg.fault_plan is not None
-            or report.degraded
-            or report.retries > 0
+    # Full verification (density + Tarjan) is only meaningful when the
+    # phase resolved everything; a deliberately partial phase (tests
+    # seeding a subset) still gets the structural checks.
+    complete = state.unfinished() == 0
+    cross = complete and (
+        cfg.fault_plan is not None or report.degraded or report.retries > 0
+    )
+    try:
+        state.check_invariants(require_complete=complete, cross_check=cross)
+    except Exception:
+        if report.degraded:
+            raise  # serial driver failed verification: a real bug
+        # e.g. a poisoned write that completed "successfully" — roll
+        # back and redo serially, then re-verify strictly.
+        profile.bump("supervisor_verify_failures")
+        _degrade("verify_failed")
+        state.check_invariants(
+            require_complete=complete, cross_check=complete
         )
-        try:
-            state.check_invariants(
-                require_complete=complete, cross_check=cross
-            )
-        except Exception:
-            if report.degraded:
-                raise  # serial driver failed verification: a real bug
-            # e.g. a poisoned write that completed "successfully" —
-            # roll back and redo serially, then re-verify strictly.
-            profile.bump("supervisor_verify_failures")
-            _degrade("verify_failed")
-            state.check_invariants(
-                require_complete=complete, cross_check=complete
-            )
-            cross = complete
-        report.verified = True
-        report.cross_checked = cross
+        cross = complete
+    report.verified = True
+    report.cross_checked = cross
 
     report.recovery_seconds = profile.wall_times.get("recovery", 0.0)
     return report
@@ -263,7 +255,6 @@ def run_supervised_recur_phase(
 
 def _supervised_resources(state, num_workers: int, cfg, session):
     """The mirror/pool pair for a supervised run (warm or ephemeral)."""
-    from ..core.state import PHASE_RECUR
     from ..kernels import get_backend
 
     if session is not None:
@@ -282,7 +273,6 @@ def _supervised_resources(state, num_workers: int, cfg, session):
             state.graph,
             mirror,
             cost=state.cost,
-            phase_id=PHASE_RECUR,
             faults=cfg.fault_plan,
             kernel_backend=get_backend(),
         )
@@ -305,7 +295,6 @@ def _run_pool_supervised(
     cfg: SupervisorConfig,
     report: SupervisorReport,
     session=None,
-    phase2_batch=None,
     deadline: Optional[float] = None,
 ) -> int:
     """The supervised pool loop; raises :class:`PoolBrokenError` when
@@ -347,52 +336,11 @@ def _run_pool_supervised(
                     next_color, t.color
                 )
             futures = []
-            for u in plan_batches(batch, phase2_batch):
+            for u in plan_batches(batch):
+                futures.append((u, pool.apply_async(exec_unit, (u,))))
                 if isinstance(u, list):
-                    futures.append(
-                        (
-                            u,
-                            pool.apply_async(
-                                _exec_batch_task,
-                                (
-                                    [(t.color, t.nodes) for t in u],
-                                    [t.seq for t in u],
-                                    0,
-                                    [t.triple for t in u],
-                                ),
-                            ),
-                        )
-                    )
                     n_batches += 1
                     n_batched += len(u)
-                else:
-                    futures.append(
-                        (
-                            u,
-                            pool.apply_async(
-                                _exec_task,
-                                (
-                                    u.color,
-                                    u.nodes,
-                                    u.seq,
-                                    u.attempt,
-                                    u.triple,
-                                ),
-                            ),
-                        )
-                    )
-
-            def commit(t: _STask, children, task_cost, log_entry) -> None:
-                nonlocal seq
-                idx = len(tasks)
-                tasks.append(Task(cost=task_cost, parent=t.parent))
-                if log_entry is not None:
-                    profile.log_task(*log_entry)
-                for c, nd in children:
-                    pending.append(
-                        _STask(seq=seq, color=c, nodes=nd, parent=idx)
-                    )
-                    seq += 1
 
             failed: List[_STask] = []
             broken = False
@@ -437,14 +385,20 @@ def _run_pool_supervised(
                     profile.bump("supervisor_task_errors")
                     failed.extend(members)
                     continue
-                if isinstance(u, list):
-                    for t, (children, task_cost, log_entry) in zip(
-                        u, res
-                    ):
-                        commit(t, children, task_cost, log_entry)
-                else:
-                    children, task_cost, log_entry = res
-                    commit(u, children, task_cost, log_entry)
+                results, log = res
+                for t, (children, task_cost) in zip(members, results):
+                    idx = len(tasks)
+                    tasks.append(Task(cost=task_cost, parent=t.parent))
+                    for ch in children:
+                        pending.append(
+                            _STask(
+                                seq=seq, color=ch.color, nodes=ch.nodes,
+                                parent=idx,
+                            )
+                        )
+                        seq += 1
+                for entry in log:
+                    profile.log_task(*entry)
 
             if broken:
                 pool.rebuild()

@@ -80,6 +80,23 @@ def scipy_wcc_labels(g: CSRGraph) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def batch_policy(batch: bool):
+    """Patch the phase-2 drain policy for a ``with`` block: the default
+    batched :data:`~repro.core.recurfwbw.BATCH_POLICY`, or the
+    per-pivot reference (width 1 never reaches ``min_run``, so nothing
+    is batched)."""
+    from unittest import mock
+
+    from repro.core import recurfwbw
+
+    policy = (
+        recurfwbw.BATCH_POLICY
+        if batch
+        else recurfwbw.Phase2BatchPolicy(width=1)
+    )
+    return mock.patch.object(recurfwbw, "BATCH_POLICY", policy)
+
+
 def random_digraph(
     n: int, m: int, seed: int = 0, *, self_loops: bool = False
 ) -> CSRGraph:

@@ -54,6 +54,15 @@ class TestScc:
         assert code == 0
         assert "SCCs: 2" in out
 
+    def test_retired_phase2_batch_flag_exits_2(self, capsys):
+        # the batched phase-2 tail is the only drain: no flag selects it
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                capsys, "scc", "--dataset", "baidu", "--scale", "0.1",
+                "--method", "method2", "--phase2-batch",
+            )
+        assert err.value.code == 2
+
     def test_unknown_method_raises(self, capsys):
         with pytest.raises(ValueError):
             run_cli(

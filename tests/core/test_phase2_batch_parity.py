@@ -5,7 +5,9 @@ path is *bit-identical* to the per-pivot path — same labels, same
 trace records (costs and scanned-edge attribution included) — under
 every kernel backend.  Deterministic drains are the serial driver and
 the single-worker supervised executor (FIFO master dispatch); both
-group the queue with the one planner, :func:`plan_batches`.
+group the queue with the one planner, :func:`plan_batches`, under the
+one :data:`BATCH_POLICY`.  The per-pivot reference patches that
+policy to width 1.
 """
 
 import numpy as np
@@ -14,9 +16,9 @@ import pytest
 from repro.core import SCCState
 from repro.core.parfwbw import par_fwbw
 from repro.core.recurfwbw import (
+    BATCH_POLICY,
     Phase2BatchPolicy,
     plan_batches,
-    resolve_batch_policy,
     run_recur_phase,
     WorkItem,
 )
@@ -24,7 +26,7 @@ from repro.core.result import same_partition
 from repro.core.wcc import par_wcc
 from repro.generators import datasets
 from repro.kernels import use_backend
-from tests.conftest import scipy_scc_labels
+from tests.conftest import batch_policy, scipy_scc_labels
 
 GENERATORS = datasets.dataset_names()
 KERNEL_BACKENDS = ("numpy", "numba")
@@ -41,11 +43,8 @@ def tail_state(name):
 
 def drain(name, *, executor="serial", kernel="numpy", batch=False):
     g, s, items = tail_state(name)
-    with use_backend(kernel):
-        run_recur_phase(
-            s, items, backend=executor, num_threads=1,
-            phase2_batch=batch,
-        )
+    with use_backend(kernel), batch_policy(batch):
+        run_recur_phase(s, items, backend=executor, num_threads=1)
     return g, s
 
 
@@ -78,17 +77,24 @@ class TestProcessExecutorsBitIdentical:
         assert batched.profile.counters.get("phase2_batches", 0) > 0
 
 
+class TestDefaultDrain:
+    @pytest.mark.parametrize("backend", ("serial", "supervised"))
+    def test_engine_run_batches_the_tail(self, backend):
+        # No option turns the batched tail on: a default run takes it.
+        from repro.engine import Engine
+
+        g = datasets.generate("wiki", scale=0.05, seed=0).graph
+        with Engine(backend=backend) as eng:
+            res = eng.run(g, method="method2")
+        assert res.profile.counters.get("phase2_batches", 0) > 0
+        assert same_partition(res.labels, scipy_scc_labels(g))
+
+
 class TestPolicy:
-    def test_resolution(self):
-        assert resolve_batch_policy(False) is None
-        assert resolve_batch_policy(None) is None
-        default = resolve_batch_policy(True)
-        assert isinstance(default, Phase2BatchPolicy)
-        assert default.width == 64
-        custom = Phase2BatchPolicy(width=8)
-        assert resolve_batch_policy(custom) is custom
-        with pytest.raises(TypeError):
-            resolve_batch_policy("yes")
+    def test_default_policy(self):
+        assert BATCH_POLICY == Phase2BatchPolicy(
+            width=64, min_run=2, max_item_nodes=1024
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,9 +147,14 @@ class TestPolicy:
         plans = plan_batches(items, policy)
         assert all(isinstance(p, WorkItem) for p in plans)
 
-    def test_no_policy_passthrough(self):
+    def test_width_one_passthrough(self):
+        # the per-pivot reference: a width-1 run never reaches min_run
         items = self._items([1, 2, 3])
-        assert plan_batches(items, None) == items
+        assert plan_batches(items, Phase2BatchPolicy(width=1)) == items
+        with batch_policy(False):
+            assert plan_batches(items) == items
+        (run,) = plan_batches(items)
+        assert run == items
 
     def test_retried_items_run_alone(self):
         # a retried task re-runs as a single so the supervisor's

@@ -136,12 +136,11 @@ class TestWorkerContext:
         g = random_digraph(12, 30, seed=2)
         with SharedStateMirror(12) as mirror:
             arm_worker_context(
-                g, mirror, cost=None, phase_id=3, kernel_backend="numpy"
+                g, mirror, cost=None, kernel_backend="numpy"
             )
             try:
                 assert WORKER_CTX["graph"] is g
                 assert WORKER_CTX["color"] is mirror.color
-                assert WORKER_CTX["phase_id"] == 3
                 assert WORKER_CTX["kernel_backend"] == "numpy"
             finally:
                 disarm_worker_context()

@@ -65,14 +65,16 @@ CHILD = textwrap.dedent(
         raise SystemExit("hook never fired")
     elif mode == "kill-mid-phase2":
         import repro.core.recurfwbw as rf
-        real = rf.recur_fwbw_task
-        count = [0]
-        def lethal(state, item, **kw):
-            count[0] += 1
-            if count[0] == 5:   # mid-drain, after real SCC commits
-                die()
-            return real(state, item, **kw)
-        rf.recur_fwbw_task = lethal
+        count = [0]   # tasks, not calls: a batch runs many
+        def lethal(real, n_tasks):
+            def body(state, unit, **kw):
+                if count[0] >= 4:   # mid-drain, after real SCC commits
+                    die()
+                count[0] += n_tasks(unit)
+                return real(state, unit, **kw)
+            return body
+        rf.recur_fwbw_task = lethal(rf.recur_fwbw_task, lambda item: 1)
+        rf.recur_fwbw_batch_task = lethal(rf.recur_fwbw_batch_task, len)
         engine.run(g, seed=9, checkpoint_dir=ckpt_dir)
         raise SystemExit("phase 2 drained before task 5")
     else:

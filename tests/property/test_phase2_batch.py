@@ -21,7 +21,7 @@ from repro.graph import from_edge_array
 from repro.kernels import use_backend
 from repro.runtime.cost import CostModel
 from repro.runtime.trace import TaskDAGRecord
-from tests.conftest import scipy_scc_labels
+from tests.conftest import batch_policy, scipy_scc_labels
 
 #: one work unit per scanned DFS edge, nothing else — task costs in
 #: the trace become raw scanned-edge counts.
@@ -86,11 +86,8 @@ def _scanned_edges(state):
 
 def _drain(g, n_colors, seed, *, kernel, executor="serial", batch):
     s, items = _seed_queue(g, n_colors, seed)
-    with use_backend(kernel):
-        run_recur_phase(
-            s, items, backend=executor, num_threads=1,
-            phase2_batch=batch,
-        )
+    with use_backend(kernel), batch_policy(batch):
+        run_recur_phase(s, items, backend=executor, num_threads=1)
     return s
 
 
@@ -114,7 +111,7 @@ def test_single_color_queue_matches_oracle(gc):
     g, _, seed = gc
     s = SCCState(g, seed=17)
     items = [(0, np.arange(g.num_nodes, dtype=np.int64))]
-    run_recur_phase(s, items, phase2_batch=True)
+    run_recur_phase(s, items)
     assert same_partition(s.labels, scipy_scc_labels(g))
 
 

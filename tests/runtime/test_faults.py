@@ -1,13 +1,18 @@
 """Unit tests for the fault-injection harness and the supervisor."""
 
 import glob
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import SCCState, StateInvariantError, same_partition, tarjan_scc
-from repro.core.recurfwbw import run_recur_phase
+from repro.core.recurfwbw import WorkItem, plan_batches, run_recur_phase
 from repro.engine.pool import fork_available
 from repro.engine.shm import WORKER_CTX, shm_array
 from repro.errors import PhaseTimeoutError, exit_code_for
@@ -299,6 +304,135 @@ class TestSupervisedBackend:
             assert not session.pool.alive
         assert elapsed < 3.0
         assert exit_code_for(err.value) == 14
+
+    @pytest.mark.parametrize("disposition", ["ignore", "handler"])
+    def test_run_deadline_under_caller_sigterm_disposition(
+        self, disposition
+    ):
+        # The scenario above, in a caller that ignores SIGTERM (sharded
+        # serve workers) or handles it in Python (serve's drain, the
+        # batch runner's interrupt guard).  Pool workers inherit that
+        # disposition at fork; terminate() relies on SIGTERM, so the
+        # condemned pool must still die and the run fail typed.
+        child = textwrap.dedent(
+            """
+            import signal, sys
+            from repro.engine import Engine
+            from repro.errors import exit_code_for
+            from repro.runtime import FaultPlan, SupervisorConfig
+            from tests.conftest import ring_of_rings
+
+            signal.signal(
+                signal.SIGTERM,
+                signal.SIG_IGN if sys.argv[1] == "ignore"
+                else (lambda signum, frame: None),
+            )
+            cfg = SupervisorConfig(
+                task_timeout=30.0,
+                fault_plan=FaultPlan.single(
+                    "hang", index=0, hang_seconds=4.0
+                ),
+            )
+            with Engine(backend="supervised") as eng:
+                try:
+                    eng.run(ring_of_rings(), supervisor=cfg, deadline=1.0)
+                except Exception as exc:
+                    sys.exit(exit_code_for(exc))
+            """
+        )
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]),
+        )
+        t0 = time.monotonic()
+        # its own process group: a wedged run is killed with its workers
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, disposition],
+            env=env,
+            cwd=root,
+            start_new_session=True,
+        )
+        try:
+            rc = proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail("condemned pool wedged its caller")
+        assert rc == 14
+        assert time.monotonic() - t0 < 10.0
+
+
+def storm_queue(k=48, seed=0):
+    """(graph, state, items): ``k`` disjoint small digraphs, one colour
+    partition each — the storm of tiny partitions Par-WCC leaves for
+    phase 2.  The first generation plans as one batch run of ``k``."""
+    from repro.graph import from_edge_array
+
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(6, 13, size=k)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    src, dst = [], []
+    for lo, sz in zip(bounds[:-1], sizes):
+        src.append(lo + rng.integers(0, sz, 2 * sz))
+        dst.append(lo + rng.integers(0, sz, 2 * sz))
+    n = int(bounds[-1])
+    g = from_edge_array(
+        np.concatenate(src), np.concatenate(dst), n,
+        dedup=True, drop_self_loops=True,
+    )
+    s = SCCState(g, seed=seed)
+    colors = s.new_colors(k)
+    items = []
+    for c, lo, hi in zip(colors.tolist(), bounds[:-1], bounds[1:]):
+        s.color[lo:hi] = c
+        items.append((c, np.arange(lo, hi, dtype=np.int64)))
+    return g, s, items
+
+
+@needs_fork
+class TestSupervisedBatchDrills:
+    """Task-site faults on a member of a batched unit."""
+
+    def _run(self, plan):
+        g, s, items = storm_queue()
+        (unit,) = plan_batches(
+            [WorkItem(color=c, nodes=nd) for c, nd in items]
+        )
+        assert len(unit) == len(items)  # seqs 0..47 share one unit
+        run_recur_phase(
+            s,
+            items,
+            backend="supervised",
+            num_threads=2,
+            supervisor=SupervisorConfig(
+                task_timeout=5.0, grace=0.1, backoff_base=0.01,
+                fault_plan=plan,
+            ),
+        )
+        assert s.profile.counters["phase2_batches"] > 0
+        assert same_partition(s.labels, scipy_scc_labels(g))
+        return s, len(unit)
+
+    def test_mid_raise_retries_every_member_singly(self):
+        s, unit_size = self._run(
+            FaultPlan.single("raise", index=5, stage="mid")
+        )
+        counters = s.profile.counters
+        # the unit fails as a whole and each member is repaired and
+        # retried alone (a retried item never joins a batch run)
+        assert counters["supervisor_task_errors"] == 1
+        assert counters["supervisor_retries"] == unit_size
+        assert "supervisor_degraded" not in counters
+        s.check_invariants(cross_check=True)
+
+    def test_poisoned_member_caught_and_redone(self):
+        s, _ = self._run(FaultPlan.single("poison", index=5))
+        counters = s.profile.counters
+        assert counters["supervisor_verify_failures"] == 1
+        assert counters["supervisor_degraded"] == 1
+        assert counters["supervisor_degrade_verify_failed"] == 1
+        s.check_invariants(cross_check=True)
 
 
 @needs_fork

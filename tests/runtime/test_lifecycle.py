@@ -196,6 +196,33 @@ class TestResume:
         assert res.lifecycle.phases_run == ["recur_fwbw"]
         assert np.array_equal(res.labels, base)
 
+    def test_retired_options_checkpoint_resumes_bit_identically(
+        self, engine, graph, tmp_path
+    ):
+        base = engine.run(
+            graph,
+            seed=3,
+            checkpoint_dir=tmp_path,
+            supervisor=SupervisorConfig(task_timeout=7.0),
+        ).labels.copy()
+        names = ckpt_files(tmp_path)
+        os.remove(tmp_path / names[-1])
+        # what a run recorded before these options were retired
+        rewrite_meta(
+            tmp_path / names[-2],
+            supervisor={"verify": True, "always_cross_check": False},
+            config={"phase2_batch": True},
+        )
+        _, _, meta = latest_checkpoint(tmp_path)
+        assert meta["supervisor"]["always_cross_check"] is False
+        assert meta["config"]["phase2_batch"] is True
+        config = run_config(meta)
+        assert "phase2_batch" not in config
+        assert config["supervisor"].task_timeout == 7.0
+        res = engine.resume(tmp_path)
+        assert res.lifecycle.phases_run == ["recur_fwbw"]
+        assert np.array_equal(res.labels, base)
+
     def test_resume_completed_run_verifies_only(
         self, engine, graph, tmp_path
     ):

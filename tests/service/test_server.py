@@ -98,18 +98,27 @@ class TestRunRequests:
         assert "tmieout" in resp["error"]
 
     @pytest.mark.parametrize(
-        "key", ["checkpoint_dir", "phase_timeout", "resume", "deadline"]
+        "key",
+        [
+            "checkpoint_dir",
+            "phase_timeout",
+            "resume",
+            "deadline",
+            "phase2_batch",
+        ],
     )
     def test_run_level_options_refused(self, tmp_path, key):
         # a client's options name method keywords only: run-level
         # Engine.run parameters (files, signals, budgets) stay the
-        # service's own.
+        # service's own, and a retired method option (the batched
+        # phase-2 tail is no longer optional) is unknown like any other.
         ck = tmp_path / "ck"
         value = {
             "checkpoint_dir": str(ck),
             "phase_timeout": 5.0,
             "resume": [str(ck), {}, {}],
             "deadline": 5.0,
+            "phase2_batch": True,
         }[key]
         with SCCService() as svc:
             resp = svc.handle(run_request(options={key: value}))
