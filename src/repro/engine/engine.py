@@ -37,9 +37,10 @@ import numpy as np
 from ..core.result import RunReport, SCCResult, canonical_labels
 from ..graph import CSRGraph
 from ..ioutil import crc32_chunks
+from ..kernels import jit_active
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from .backends import get_executor
-from .session import GraphSession, graph_fingerprint
+from .session import DELTA_LOG_ARRAYS, GraphSession, graph_fingerprint
 
 __all__ = ["Engine", "UpdateReport", "check_method_options"]
 
@@ -254,10 +255,16 @@ class Engine:
     integrity:
         Seal session arrays into block-CRC sidecars
         (:mod:`repro.integrity.checksums`) and verify them at session
-        borrow, at every pipeline phase boundary, and before a result
-        is returned.  A mismatch raises
-        :class:`~repro.errors.IntegrityError` (exit 20); the serving
-        layer answers it with :meth:`quarantine`.
+        borrow, before a result is returned (``run:final``), and
+        whenever an exception escapes a pipeline phase — rot that
+        crashes a kernel then raises
+        :class:`~repro.errors.IntegrityError` caused by the kernel's
+        error.  While the unchecked compiled loops run
+        (:func:`~repro.kernels.jit_active`) they are also verified at
+        every phase entry.  The run state the phases write (labels,
+        colours) is sealed after and verified before every phase.  A
+        mismatch raises :class:`~repro.errors.IntegrityError` (exit
+        20); the serving layer answers it with :meth:`quarantine`.
     """
 
     def __init__(
@@ -697,15 +704,27 @@ class Engine:
 
         * ``corrupt``-kind faults at the ``"phase"`` site flip seeded
           bits in warm arrays: ``pre``-stage before the phase's entry
-          verification (caught immediately), ``mid``/``post`` after the
-          phase's state reseal (caught at the next boundary or the
-          final verification) — exactly where real rot lands, between
-          the moments anything looks.
-        * When the session carries checksum sidecars, a run-local
-          sidecar seals the mutable :class:`SCCState` arrays (labels,
-          colours) after every phase and re-verifies graph + state
-          seals at every phase entry, so corruption never crosses a
-          phase boundary undetected.
+          check, ``mid``/``post`` after the phase's state reseal —
+          exactly where real rot lands, between the moments anything
+          looks.
+        * When the session carries checksum sidecars, two stores
+          guard the run.  A run-local sidecar seals the
+          :class:`SCCState` arrays the phases write (labels, colours)
+          after every phase and verifies them at every phase entry and
+          at ``run:final``, so run-state rot never crosses a phase
+          boundary.  The session arrays are read-only views that only
+          rot can change, and rot between requests is the borrow
+          check's: they are verified at ``session:borrow``
+          (:meth:`_execute`), at ``run:final``, and whenever an
+          exception escapes a phase.  On that path a mismatch raises
+          :class:`~repro.errors.IntegrityError` with the phase's error
+          as ``__cause__``, so rot that crashes a kernel answers exit
+          20; intact arrays re-raise the error unchanged.  That relies
+          on the kernels raising: NumPy indexing is bounds-checked and
+          the gathers refuse a row longer than their array.  The
+          compiled loops (:func:`~repro.kernels.jit_active`) check
+          nothing, so while they run the session arrays are also
+          verified at every phase entry.
 
         Returns ``(wrapped_plan, final_verify)``; ``final_verify``
         runs after the plan completes, before the result escapes.
@@ -744,8 +763,7 @@ class Engine:
                 run_cs.seal("labels", state.labels)
                 run_cs.seal("color", state.color)
 
-        def verify(context):
-            session.verify_integrity(context=context)
+        def verify_state(context):
             if run_cs is None:
                 return
             try:
@@ -756,21 +774,43 @@ class Engine:
                 raise
             session.stats.integrity_verifications += 2
 
+        def verify_session_after(error, context):
+            try:
+                session.verify_integrity(context=context)
+            except IntegrityError as rot:
+                raise rot from error
+
+        # rot must not reach loops that index unchecked
+        verify_each_phase = jit_active()
+
         def wrap(i, ph):
             inner = ph.fn
 
             def fn(st, ctx, _inner=inner, _i=i, _name=ph.name):
+                context = f"phase[{_i}]:{_name}"
                 corrupt(_i, ("pre",))
-                verify(f"phase[{_i}]:{_name}")
-                out = _inner(st, ctx)
+                if verify_each_phase:
+                    session.verify_integrity(context=context)
+                verify_state(context)
+                try:
+                    out = _inner(st, ctx)
+                except IntegrityError:
+                    raise
+                except Exception as error:
+                    verify_session_after(error, context)
+                    raise
                 reseal()
                 corrupt(_i, ("mid", "post"))
                 return out
 
             return dataclasses.replace(ph, fn=fn)
 
+        def final_verify():
+            session.verify_integrity(context="run:final")
+            verify_state("run:final")
+
         wrapped = [wrap(i, ph) for i, ph in enumerate(plan)]
-        return wrapped, (lambda: verify("run:final"))
+        return wrapped, final_verify
 
     def _run_plan(
         self,
@@ -967,10 +1007,13 @@ class Engine:
         (inserting a present edge / deleting an absent one is a no-op),
         which is what makes journal replay after a crash convergent.
 
-        After an applied batch the session's version advances, the
-        delta log may compact into a fresh base, and the integrity
-        sidecars (when armed) are re-sealed over the mutated state and
-        re-verified before the report escapes.
+        After an applied batch the session's version advances and the
+        integrity sidecars (when armed) re-seal only what the batch
+        wrote — the tombstone masks and flattened add-logs — then
+        verify everything, so rot that reached the base CSR during
+        ``apply`` raises :class:`~repro.errors.IntegrityError` instead
+        of being sealed in.  A delta log past its compact ratio then
+        folds into a fresh base, which is re-sealed whole.
         """
         self._check_open()
         if isinstance(target, str):
@@ -1005,10 +1048,14 @@ class Engine:
         applied = session.delta.mutations != before
         if applied:
             session.mark_mutated()
-        compacted = session.delta.maybe_compact()
-        if applied or compacted:
-            session.reseal_integrity()
+            # the batch wrote only the log: the base keeps its seals,
+            # so rot that reached it during apply fails the check below
+            # instead of being sealed in (or folded in by compaction).
+            session.reseal_integrity(DELTA_LOG_ARRAYS)
         session.verify_integrity(context="update:return")
+        compacted = session.delta.maybe_compact()
+        if compacted:
+            session.reseal_integrity()
         labels = canonical_labels(
             np.ascontiguousarray(dyn.labels, dtype=np.int64)
         )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,24 @@ from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from .pool import WorkerPool, fork_available
 from .shm import SharedStateMirror, arm_worker_context
 
-__all__ = ["graph_fingerprint", "SessionStats", "GraphSession"]
+__all__ = [
+    "DELTA_LOG_ARRAYS",
+    "graph_fingerprint",
+    "SessionStats",
+    "GraphSession",
+]
+
+#: the sealed delta-state arrays an applied update batch writes: the
+#: tombstone masks and the flattened add-logs, both directions.  The
+#: base CSR changes only when the log compacts into a fresh one.
+DELTA_LOG_ARRAYS = (
+    "tomb",
+    "add_indptr",
+    "add_indices",
+    "tomb_in",
+    "add_in_indptr",
+    "add_in_indices",
+)
 
 
 def graph_fingerprint(g: CSRGraph) -> int:
@@ -232,21 +249,27 @@ class GraphSession:
         self.release_pool()
         return self.version
 
-    def reseal_integrity(self) -> None:
+    def reseal_integrity(self, names: Optional[Sequence[str]] = None) -> None:
         """Re-seal the integrity sidecars over the mutated arrays.
 
         Mutable sessions seal the *delta state* — base CSR (both
         directions), tombstone masks, and the flattened add-log — so a
         bit flip landing in any of them between updates is caught at
-        the next borrow.  No-op when checksums are off.
+        the next borrow.  Without ``names`` every array is sealed into
+        a fresh store (promotion, compaction: the base changed); with
+        ``names`` only those seals are recomputed, so the rest keep
+        guarding what they sealed.  No-op when checksums are off.
         """
         if self.checksums is None:
             return
-        from ..integrity import ChecksummedArrays
+        arrays = self.integrity_arrays()
+        if names is None:
+            from ..integrity import ChecksummedArrays
 
-        self.checksums = ChecksummedArrays()
-        for name, arr in self.integrity_arrays().items():
-            self.checksums.seal(name, arr)
+            self.checksums = ChecksummedArrays()
+            names = arrays
+        for name in names:
+            self.checksums.seal(name, arrays[name])
 
     # -- cached derived artifacts ---------------------------------------
     def ensure_transpose(self) -> None:

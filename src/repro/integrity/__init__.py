@@ -7,9 +7,12 @@ assumption with three cooperating defenses (DESIGN.md §14):
 
 * :mod:`repro.integrity.checksums` — block-CRC sidecars
   (:class:`ChecksummedArrays`) over session-owned CSR/transpose/degree
-  arrays and run-owned label state, verified at session borrow, at
-  every phase boundary, and before a response is emitted; a mismatch
-  raises :class:`~repro.errors.IntegrityError` (exit 20);
+  arrays, verified at session borrow, before a response is emitted
+  (``run:final``) and whenever an exception escapes a phase (rot that
+  crashes a kernel is answered typed), plus every phase entry while
+  the unchecked compiled kernels run, and over the run-owned labels
+  and colours the phases write, verified at every phase boundary; a
+  mismatch raises :class:`~repro.errors.IntegrityError` (exit 20);
 * :mod:`repro.integrity.certify` — machine-checkable result
   certificates (:func:`certify_result`): canonical CRC, sampled FW∧BW
   membership proofs reusing the phase-2 multi-source kernels, and a

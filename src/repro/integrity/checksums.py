@@ -8,10 +8,14 @@ per-block CRC32 sidecars and later re-verifies them.  The block layout
   block, so an operator can tell "one flipped bit in the transpose"
   from "the whole session is garbage";
 * **cheap verification** — CRC32 over memoryview slices runs at
-  memcpy-like speed (zlib's slice-by-8), so verifying a warm session at
-  borrow/return and at phase boundaries costs a small fraction of one
-  CSR sweep (measured by ``benchmarks/bench_integrity.py`` into
-  ``BENCH_integrity.json``, gated at <= 5% serving overhead).
+  memcpy-like speed (zlib's slice-by-8).  Each sweep still reads every
+  sealed byte, so the engine sweeps a warm session's read-only arrays
+  twice per run — at borrow and at ``run:final``, plus once more if a
+  phase raises, and at every phase entry while the unchecked compiled
+  kernels run — and sweeps the run state the phases write (labels,
+  colours) at every phase boundary (priced by
+  ``benchmarks/bench_integrity.py`` into ``BENCH_integrity.json``
+  against a 5% serving-overhead budget).
 
 Seals are *identity-free*: only byte content is hashed (plus dtype and
 byte length, which change the block layout), so re-verifying a view,

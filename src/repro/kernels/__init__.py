@@ -34,6 +34,7 @@ from .registry import (
     backend_info,
     get_backend,
     get_kernel,
+    jit_active,
     kernel_names,
     numba_available,
     register,
@@ -67,6 +68,7 @@ __all__ = [
     "expand_frontier",
     "get_backend",
     "get_kernel",
+    "jit_active",
     "kernel_names",
     "MS_BW_ONLY",
     "MS_CLAIMED",

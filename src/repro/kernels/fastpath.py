@@ -310,8 +310,8 @@ def delta_expand_frontier(
         return (_EMPTY, _EMPTY) if return_sources else _EMPTY
     counts_b = reference.segment_counts(indptr, frontier)
     counts_a = reference.segment_counts(add_indptr, frontier)
-    total_b = int(counts_b.sum())
-    total_a = int(counts_a.sum())
+    total_b = reference.segment_total(counts_b, indices)
+    total_a = reference.segment_total(counts_a, add_indices)
     if total_b:
         starts = indptr[frontier].astype(np.int64, copy=False)
         cum_b = np.cumsum(counts_b)

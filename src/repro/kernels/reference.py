@@ -22,6 +22,7 @@ from .registry import register
 
 __all__ = [
     "segment_counts",
+    "segment_total",
     "dedup_sorted",
     "expand_frontier",
     "delta_expand_frontier",
@@ -77,6 +78,27 @@ def segment_counts(indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64, copy=False)
 
 
+def segment_total(counts: np.ndarray, indices: np.ndarray) -> int:
+    """``counts.sum()`` for rows gathered from ``indices``, refused
+    when one row is longer than ``indices`` itself.
+
+    One flipped high bit in ``indptr[k]`` makes row ``k - 1`` billions
+    of entries long, and gathering it would first allocate the whole
+    bogus range.  Raises ``ValueError`` before that, so the integrity
+    tier can type the failure.  Rows are measured only once the total
+    passes the array (a frontier may repeat nodes), which keeps the
+    common gather at one comparison.
+    """
+    total = int(counts.sum())
+    if total > indices.shape[0] and int(counts.max()) > indices.shape[0]:
+        raise ValueError(
+            f"a frontier row spans {int(counts.max())} adjacency entries "
+            f"but the gathered array holds {indices.shape[0]}: "
+            "corrupt indptr"
+        )
+    return total
+
+
 def dedup_sorted(values: np.ndarray, num_nodes: int) -> np.ndarray:
     """Sorted unique node ids, choosing the representation by density.
 
@@ -127,6 +149,9 @@ def expand_frontier(
     sweeps of Trim and WCC always are — the gather collapses to one
     slice of ``indices``, skipping the global ``arange`` ragged-gather
     entirely.
+
+    A row longer than ``indices`` raises ``ValueError``
+    (:func:`segment_total`).
     """
     if unique and return_sources:
         raise ValueError("unique=True cannot be combined with return_sources")
@@ -135,7 +160,7 @@ def expand_frontier(
     if frontier.size == 0:
         return (_EMPTY, _EMPTY) if return_sources else _EMPTY
     counts = segment_counts(indptr, frontier)
-    total = int(counts.sum())
+    total = segment_total(counts, indices)
     if total == 0:
         return (_EMPTY, _EMPTY) if return_sources else _EMPTY
     if _is_contiguous_range(frontier):
@@ -525,8 +550,8 @@ def delta_expand_frontier(
         return (_EMPTY, _EMPTY) if return_sources else _EMPTY
     counts_b = segment_counts(indptr, frontier)
     counts_a = segment_counts(add_indptr, frontier)
-    total_b = int(counts_b.sum())
-    total_a = int(counts_a.sum())
+    total_b = segment_total(counts_b, indices)
+    total_a = segment_total(counts_a, add_indices)
     slots = np.arange(frontier.shape[0], dtype=np.int64)
     if total_b:
         starts = indptr[frontier].astype(np.int64, copy=False)

@@ -49,6 +49,7 @@ __all__ = [
     "backend_info",
     "get_backend",
     "get_kernel",
+    "jit_active",
     "kernel_names",
     "numba_available",
     "register",
@@ -186,6 +187,15 @@ def get_kernel(name: str, backend: Optional[str] = None) -> Callable:
     return impl
 
 
+def jit_active() -> bool:
+    """True when calls dispatch to the compiled loops of
+    :mod:`repro.kernels.jit`: numba imports and the ``numba`` slot is
+    resolved.  Those loops index the CSR arrays without bounds checks,
+    so a rotten entry reads or writes outside them instead of raising.
+    """
+    return numba_available() and resolve_backend() == "numba"
+
+
 def kernel_names() -> tuple[str, ...]:
     """All registered kernel names (sorted)."""
     return tuple(sorted(_REGISTRY))
@@ -208,8 +218,8 @@ def backend_info() -> Dict[str, object]:
     """
     requested = _override or os.environ.get(ENV_VAR) or "auto"
     slot = resolve_backend()
-    jit_active = slot == "numba" and numba_available()
-    if slot == "numba" and not jit_active:
+    jit = jit_active()
+    if slot == "numba" and not jit:
         resolved = "fastpath"
     else:
         resolved = slot
@@ -217,7 +227,7 @@ def backend_info() -> Dict[str, object]:
         "requested": requested,
         "resolved": resolved,
         "numba_available": numba_available(),
-        "jit_active": jit_active,
+        "jit_active": jit,
         "kernels": {
             name: available_backends(name) for name in kernel_names()
         },

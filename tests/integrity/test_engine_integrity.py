@@ -1,20 +1,24 @@
 """Integrity wiring through GraphSession and Engine.
 
 Covers the seal points (load, transpose, degrees), the verify points
-(session borrow/return, phase boundaries, final), detection of seeded
-``corrupt`` faults at the ``"phase"`` site, and the quarantine →
-rebuild → correct-answer recovery path.
+(session arrays at borrow, ``run:final`` and when a phase raises; run
+state at every phase boundary), detection of seeded ``corrupt`` faults
+at the ``"phase"`` site, the update path's partial re-seal, and the
+quarantine → rebuild → correct-answer recovery path.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import tarjan_scc
+from repro.core.method2 import method2_phases
 from repro.core.result import canonical_labels
+from repro.engine.dynamic import DynamicSCC
 from repro.engine.engine import Engine
 from repro.engine.session import GraphSession
 from repro.errors import IntegrityError
 from repro.graph import from_edge_list
+from repro.kernels import jit_active, registry, use_backend
 from repro.runtime.faults import FaultPlan, FaultSpec, apply_corruption
 
 
@@ -22,6 +26,21 @@ def small_graph():
     return from_edge_list(
         [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (4, 0)], 5
     )
+
+
+def flip_bit(array, element, bit):
+    """Flip one bit of ``array[element]`` through its owning buffer,
+    the way rot lands under a read-only view."""
+    owner = array
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    offset = (
+        array.__array_interface__["data"][0]
+        - owner.__array_interface__["data"][0]
+        + element * array.itemsize
+        + bit // 8
+    )
+    owner.view(np.uint8).reshape(-1)[offset] ^= np.uint8(1 << (bit % 8))
 
 
 def phase_corrupt(array, *, index=0, stage="pre", flip_seed=0):
@@ -100,6 +119,68 @@ class TestEngineDetection:
         with pytest.raises(IntegrityError):
             engine.run(small_graph(), method="method2", fault_plan=plan)
 
+    @pytest.mark.parametrize(
+        "kernels,each_phase", [("numpy", False), ("numba", True)]
+    )
+    def test_warm_run_session_sweeps(
+        self, engine, monkeypatch, kernels, each_phase
+    ):
+        """Session arrays are checked at borrow and ``run:final``; the
+        phase boundaries check the run state the phases write.  The
+        compiled loops index unchecked, so while they would run (numba
+        marked importable) every phase entry checks the session too."""
+        monkeypatch.setattr(registry, "_numba_available", True)
+        g = small_graph()
+        with use_backend(kernels):
+            assert jit_active() is each_phase
+            engine.run(g, method="method2")  # cold: seals the transpose
+            cs = engine.session(g).checksums
+            before = cs.verifications
+            engine.run(g, method="method2")
+        sweeps = (cs.verifications - before) / len(cs)
+        assert sweeps == 2 + each_phase * len(method2_phases())
+
+    @pytest.mark.parametrize("kernels", ["numpy", "numba"])
+    def test_rot_that_crashes_a_kernel_is_typed(
+        self, engine, monkeypatch, kernels
+    ):
+        """Rot landing inside Par-FWBW makes its gather refuse a bogus
+        row; the run answers IntegrityError caused by that error."""
+        import repro.core.parfwbw as parfwbw
+
+        with use_backend(kernels):
+            if jit_active():
+                pytest.skip("the compiled loops do not bounds-check")
+        # pivot 0 reaches {2, 4}: node 4's row is gathered from a
+        # two-node (non-contiguous) frontier.
+        g = from_edge_list(
+            [(0, 2), (0, 4), (2, 0), (4, 0), (1, 3), (3, 1)], 5
+        )
+        inner = parfwbw.bfs_color_transform
+
+        def rotting(graph, *args, **kwargs):
+            if kwargs.get("direction") == "out":
+                flip_bit(graph.indptr, graph.num_nodes, 48)
+            return inner(graph, *args, **kwargs)
+
+        monkeypatch.setattr(parfwbw, "bfs_color_transform", rotting)
+        with use_backend(kernels), pytest.raises(IntegrityError) as exc:
+            engine.run(g, method="method2", pivot_strategy="first")
+        assert exc.value.array == "indptr"
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_phase_error_on_intact_arrays_passes_through(
+        self, engine, monkeypatch
+    ):
+        import repro.core.parfwbw as parfwbw
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("not rot")
+
+        monkeypatch.setattr(parfwbw, "bfs_color_transform", broken)
+        with pytest.raises(RuntimeError, match="not rot"):
+            engine.run(small_graph(), method="method2")
+
     def test_borrowed_session_verified_for_any_method(self, engine):
         """Non-pipeline methods still get the borrow-time guard."""
         sess = engine.session(small_graph())
@@ -113,6 +194,35 @@ class TestEngineDetection:
         with Engine(backend="serial", canonical=True) as eng:
             sess = eng.session(small_graph())
             assert sess.checksums is None
+
+
+class TestUpdateReseal:
+    """An applied batch re-seals only the delta log it wrote, so the
+    base CSR's seals still judge rot that reached it during apply."""
+
+    @pytest.mark.parametrize("position", range(12))
+    def test_flip_into_base_during_apply_raises(
+        self, monkeypatch, position
+    ):
+        with Engine(backend="serial", integrity=True) as eng:
+            sess = eng.load("wiki", scale=0.02)
+            eng.update(sess)  # promote: seal the delta state whole
+            indices = sess.delta.base.indices
+            element = position * (indices.size - 1) // 11
+            u, v = 0, int(indices[element])
+            if sess.delta.has_edge(u, v):
+                u, v = v, u
+            inner = DynamicSCC.apply
+
+            def rotting(self, *args, **kwargs):
+                out = inner(self, *args, **kwargs)
+                flip_bit(indices, element, 0)
+                return out
+
+            monkeypatch.setattr(DynamicSCC, "apply", rotting)
+            with pytest.raises(IntegrityError) as exc:
+                eng.update(sess, inserts=[(u, v)])
+            assert exc.value.array == "indices"
 
 
 class TestQuarantine:

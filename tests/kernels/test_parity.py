@@ -10,11 +10,13 @@ loop wrappers called directly, which run in interpreted mode when
 numba is absent so the compiled kernels' logic is tested everywhere.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.kernels import get_kernel, use_backend
-from repro.kernels import jit, reference
+from repro.kernels import fastpath, jit, reference
 from tests.conftest import random_digraph
 
 SEEDS = [0, 1, 2, 7]
@@ -64,6 +66,54 @@ class TestExpandFrontier:
             jit.expand_frontier,
         ):
             assert impl(g.indptr, g.indices, empty).size == 0
+
+
+class TestRottenIndptr:
+    """One indptr entry raised by 2^24 (a flipped bit) makes a row 16M
+    entries long.  The gathers refuse it before allocating the range,
+    so the error is a ValueError the integrity tier can type, not a
+    gigabyte allocation."""
+
+    @staticmethod
+    def _gather(impl, g, rot):
+        n = g.num_nodes
+        indptr = g.indptr.copy()
+        add_indptr = np.zeros(n + 1, dtype=np.int64)
+        add_indices = np.zeros(4, dtype=np.int64)
+        (add_indptr if rot == "add" else indptr)[n] += 2**24
+        frontier = np.array([1, 5, n - 1], dtype=np.int64)
+        if impl == "expand_frontier":
+            return reference.expand_frontier(indptr, g.indices, frontier)
+        kernel = (
+            reference.delta_expand_frontier
+            if impl == "reference_delta"
+            else fastpath.delta_expand_frontier
+        )
+        tomb = np.zeros(g.num_edges, dtype=bool)
+        return kernel(
+            indptr, g.indices, tomb, add_indptr, add_indices, frontier
+        )
+
+    @pytest.mark.parametrize(
+        "impl,rot",
+        [
+            ("expand_frontier", "base"),
+            ("reference_delta", "base"),
+            ("reference_delta", "add"),
+            ("fastpath_delta", "base"),
+            ("fastpath_delta", "add"),
+        ],
+    )
+    def test_refused_without_allocating(self, impl, rot):
+        g = _graph(0, n=64, m=256)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="corrupt indptr"):
+                self._gather(impl, g, rot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestBfsLevelTransform:

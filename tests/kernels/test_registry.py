@@ -12,6 +12,7 @@ from repro.kernels.registry import (
     backend_info,
     get_backend,
     get_kernel,
+    jit_active,
     kernel_names,
     register,
     resolve_backend,
@@ -160,6 +161,18 @@ class TestRegistryContents:
             info = backend_info()
         assert info["resolved"] == "numpy"
         assert info["jit_active"] is False
+
+    @pytest.mark.parametrize("importable", [False, True])
+    def test_jit_active_needs_numba_and_the_numba_slot(
+        self, monkeypatch, importable
+    ):
+        monkeypatch.setattr(registry, "_numba_available", importable)
+        with use_backend("numpy"):
+            assert jit_active() is False
+        for request in ("numba", "auto"):
+            with use_backend(request):
+                assert jit_active() is importable
+                assert backend_info()["jit_active"] is importable
 
     def test_numba_request_without_numba_warns_once(self):
         if registry.numba_available():
