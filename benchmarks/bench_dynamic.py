@@ -4,12 +4,16 @@ recompute.
 Drives a sustained R-MAT edge-update stream (skewed endpoints, the
 small-world shape the paper targets) through ``Engine.update`` against
 a warm mutable session, and compares the mean per-batch update cost to
-the cost of one warm full Method-2 recompute of the same graph.  The
+the mean cost of a warm full Method-2 recompute of the same graph.
+The two arms are interleaved: between update batches a second engine
+re-runs Method 2 over an unmutated copy of the graph, the order
+alternating per batch, so host drift lands on both arms alike.  The
 incremental maintainer only ever touches the affected region, so a
-batch must come in far below a recompute — ``--check`` gates sustained
-update cost at <= 20% of recompute cost, and always verifies the final
-maintained labels are bit-identical to a from-scratch application of
-every edit.  Writes a machine-readable ``BENCH_dynamic.json``.
+batch must come in far below a recompute — ``--check`` gates the mean
+update cost at <= 20% of the mean recompute cost (p95 of both arms is
+reported beside it), and always verifies the final maintained labels
+are bit-identical to a from-scratch application of every edit.
+Writes a machine-readable ``BENCH_dynamic.json``.
 """
 
 import argparse
@@ -25,7 +29,7 @@ sys.path.insert(
 )
 
 #: sustained (mean) update-batch cost must stay below this fraction of
-#: one warm full recompute (with --check).
+#: the mean warm full recompute (with --check).
 UPDATE_COST_CEILING = 0.20
 
 GRAPH = "wiki"
@@ -118,21 +122,23 @@ def main(argv=None) -> int:
     inserts_per, deletes_per = 8, 4
     rng = np.random.default_rng(2024)
 
-    with Engine(backend="serial") as eng:
+    with Engine(backend="serial") as eng, Engine(backend="serial") as ref:
         session = eng.load(GRAPH, scale=scale, seed=None)
         g = session.graph
         batches = make_stream(
             rng, g, num_batches, inserts_per, deletes_per
         )
-
-        # warm full-recompute baseline (median of 3 warm runs)
-        eng.run(session, method="method2")  # warm the pipeline
+        # the recompute arm: its own engine, so its session stays the
+        # unmutated graph while the update arm's is promoted.
+        frozen = ref.load(GRAPH, scale=scale, seed=None)
+        ref.run(frozen, method="method2")  # warm the pipeline
+        batch_times = []
         recompute_times = []
-        for _ in range(3):
+
+        def recompute():
             t0 = time.perf_counter()
-            eng.run(session, method="method2")
+            ref.run(frozen, method="method2")
             recompute_times.append(time.perf_counter() - t0)
-        recompute_s = float(np.median(recompute_times))
 
         # promote to a mutable session outside the timed region (the
         # one-time promotion pays a full run; steady state is what the
@@ -141,19 +147,26 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         eng.update(session, promote[0], promote[1])
         promote_s = time.perf_counter() - t0
-        batch_times = []
-        for ins, dels in batches[1:]:
+        for i, (ins, dels) in enumerate(batches[1:]):
+            # interleaved arms, alternating which goes first
+            if i % 2:
+                recompute()
             t0 = time.perf_counter()
             report = eng.update(session, ins, dels)
             batch_times.append(time.perf_counter() - t0)
+            if not i % 2:
+                recompute()
         mean_batch_s = float(np.mean(batch_times))
         p95_batch_s = float(np.percentile(batch_times, 95))
+        recompute_s = float(np.mean(recompute_times))
+        recompute_p95_s = float(np.percentile(recompute_times, 95))
         final_crc = report.labels_crc32
         version = report.version
         stats = report.stats
 
     total_edits = num_batches * (inserts_per + deletes_per)
     ratio = mean_batch_s / max(recompute_s, 1e-12)
+    ratio_p95 = p95_batch_s / max(recompute_p95_s, 1e-12)
     doc = {
         "benchmark": "dynamic_scc",
         "quick": args.quick,
@@ -165,10 +178,12 @@ def main(argv=None) -> int:
         "batches": num_batches,
         "edits_total": total_edits,
         "recompute_s": round(recompute_s, 6),
+        "recompute_p95_s": round(recompute_p95_s, 6),
         "promotion_s": round(promote_s, 6),
         "mean_batch_s": round(mean_batch_s, 6),
         "p95_batch_s": round(p95_batch_s, 6),
         "update_vs_recompute": round(ratio, 4),
+        "update_vs_recompute_p95": round(ratio_p95, 4),
         "updates_per_s": round(
             (inserts_per + deletes_per) / mean_batch_s, 1
         ),
@@ -181,10 +196,11 @@ def main(argv=None) -> int:
         f"{total_edits} edits in {num_batches} batches"
     )
     print(
-        f"recompute {recompute_s * 1e3:8.1f} ms   "
+        f"recompute mean {recompute_s * 1e3:8.2f} ms "
+        f"(p95 {recompute_p95_s * 1e3:.2f} ms)   "
         f"update batch mean {mean_batch_s * 1e3:8.2f} ms "
         f"(p95 {p95_batch_s * 1e3:.2f} ms)   "
-        f"ratio {ratio:.3f}"
+        f"ratio {ratio:.3f} (p95 {ratio_p95:.3f})"
     )
     print(f"taxonomy: {json.dumps(stats, sort_keys=True)}")
 
@@ -193,21 +209,15 @@ def main(argv=None) -> int:
     doc["labels_match_oracle"] = bool(final_crc == want)
     checks = {
         "update_cost_ratio": round(ratio, 4),
+        "update_cost_ratio_p95": round(ratio_p95, 4),
         "update_cost_ceiling": UPDATE_COST_CEILING,
         "labels_match_oracle": doc["labels_match_oracle"],
     }
     doc["checks"] = checks
     print(f"checks: {json.dumps(checks, sort_keys=True)}")
-    if args.check:
-        assert doc["labels_match_oracle"], (
-            f"maintained labels diverged from the from-scratch oracle "
-            f"(crc {final_crc} != {want})"
-        )
-        assert ratio <= UPDATE_COST_CEILING, (
-            f"sustained update cost is {ratio:.1%} of a full "
-            f"recompute (ceiling {UPDATE_COST_CEILING:.0%})"
-        )
 
+    # the record is written before the gate is judged, so a failing
+    # run still leaves its readings behind
     out = args.out
     if out is None and not args.quick:
         out = str(
@@ -219,7 +229,24 @@ def main(argv=None) -> int:
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote {out}")
-    return 0
+
+    failed = False
+    if args.check and not doc["labels_match_oracle"]:
+        print(
+            f"FAIL: maintained labels diverged from the from-scratch "
+            f"oracle (crc {final_crc} != {want})",
+            file=sys.stderr,
+        )
+        failed = True
+    if args.check and ratio > UPDATE_COST_CEILING:
+        print(
+            f"FAIL: sustained update cost is {ratio:.1%} of a full "
+            f"recompute (ceiling {UPDATE_COST_CEILING:.0%}; p95 "
+            f"{ratio_p95:.1%})",
+            file=sys.stderr,
+        )
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ The index it maintains, besides the label array itself:
 * **condensation adjacency** — an explicit DAG,
   ``cid -> {successor cid: edge multiplicity}`` in both directions,
   maintained incrementally (increment/decrement on cross-component
-  edges, counter surgery on merges, restricted recount on splits).
+  edges, counter surgery on merges and splits).
   Searches and level cascades walk this index at O(condensation
   degree) per step instead of re-deriving successors from the raw
   adjacency — the difference between microseconds and milliseconds
@@ -57,16 +57,42 @@ Update taxonomy (mirrored in :class:`DynamicStats`):
   reachability probe ``u -> v`` inside the component (the *intact
   certificate*: if ``u`` still reaches ``v``, every pair stays
   strongly connected and nothing changes; meeting in the middle costs
-  roughly two ball radii instead of one full component sweep).  Only when the probe fails does the component **split**:
-  FW-BW peeling — the paper's phase-2 batch kernel
-  (:func:`repro.core.recurfwbw.multi_source_reach`, up to 64
-  bit-packed waves per sweep) — runs on the *induced subgraph of that
-  component only*, and the split parts get levels from the old level
-  plus their topological rank.
+  roughly two ball radii instead of one full component sweep).  Only
+  when the probe fails does the component **split**, and the split
+  costs what falls off rather than the whole component:
+
+  - the flood that exhausted the probe is one new SCC.  Every node of
+    the old component ``C`` still reaches ``u`` (a simple path into
+    ``u`` never uses an edge out of ``u``) and ``v`` still reaches
+    every node, so the forward flood from ``u`` is ``FW_C(u) =
+    SCC(u)`` and the backward flood from ``v`` is ``BW_C(v) =
+    SCC(v)`` — the FW-BW identity ``SCC(p) = FW(p) ∩ BW(p)`` with
+    one side already known to be all of ``C``;
+  - the *peel-off certificate*: the remainder ``R = C \\ flood`` is
+    one SCC exactly when every *boundary* node (a node of ``R`` with
+    an edge into the forward flood, or out of the backward flood)
+    reaches ``v`` inside ``R`` (is reached from ``u``, backward
+    case).  Any ``x`` in ``R`` reaches ``u``; the path stays in ``R``
+    up to its last ``R`` node, a boundary node, so ``x`` reaches
+    ``v`` too.  One BFS over the delta view checks this and stops as
+    soon as the boundary is covered;
+  - only when that BFS exhausts first does FW-BW peeling — the
+    paper's phase-2 batch kernel
+    (:func:`repro.core.recurfwbw.multi_source_reach`, up to 64
+    bit-packed waves per sweep) — run on the *induced subgraph of
+    that component only*.
+
+  On both paths the parts get levels from the old level plus their
+  topological rank, and the *largest* part keeps the old cid, so, as
+  in a merge, only the other parts' incident edges move in the
+  condensation index.  On the stream-rw edit stream (seed 1: 2,480
+  deletes) 119 deletes split a component and the certificate settles
+  88 of them.
 * past ``damage_threshold`` (component size as a fraction of the
   graph) the restricted recompute would approach global cost anyway,
   so the maintainer falls back to one full rebuild from the merged
-  snapshot.
+  snapshot.  The threshold is checked as soon as the probe fails,
+  before any split work.
 
 Every traversal here reads the graph through the merged delta view
 (:func:`repro.kernels.delta_expand_frontier`), so labels stay exact
@@ -75,6 +101,7 @@ mid-log without waiting for compaction.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -156,9 +183,11 @@ class DynamicStats:
     intact_deletes: int = 0
     #: cross-component (O(1)) deletes.
     cross_deletes: int = 0
-    #: restricted FW-BW recomputes, and components they produced.
+    #: broken components split in place, and components they produced.
     splits: int = 0
     split_components: int = 0
+    #: splits the peel-off certificate settled without FW-BW.
+    peeled_splits: int = 0
     #: damage-threshold full rebuilds.
     rebuilds: int = 0
     #: level-raise queue pops across all cascades.
@@ -340,23 +369,16 @@ class DynamicSCC:
         self._rep_of = dict(self._cid_of)
         self._cid_next = int(self._labels.shape[0])
 
-    def _cadd(self, a: int, b: int) -> None:
-        """One more graph edge between components ``a -> b``."""
+    def _cshift(self, a: int, b: int, k: int) -> None:
+        """``k`` more (negative: fewer) graph edges between components
+        ``a -> b``; a pair whose count reaches zero leaves the index."""
         succ = self._csucc.setdefault(a, {})
-        succ[b] = succ.get(b, 0) + 1
+        count = succ.get(b, 0) + k
         pred = self._cpred.setdefault(b, {})
-        pred[a] = pred.get(a, 0) + 1
-
-    def _cdel(self, a: int, b: int) -> None:
-        """One fewer graph edge between components ``a -> b``."""
-        succ = self._csucc[a]
-        succ[b] -= 1
-        if not succ[b]:
-            del succ[b]
-        pred = self._cpred[b]
-        pred[a] -= 1
-        if not pred[a]:
-            del pred[a]
+        if count:
+            succ[b] = pred[a] = count
+        else:
+            del succ[b], pred[a]
 
     def _raise_levels(self, seeds: Iterable[Tuple[int, int]]) -> None:
         """Restore ``level[a] < level[b]`` along every condensation
@@ -401,7 +423,7 @@ class DynamicSCC:
             return False
         cid_of = self._cid_of
         cu, cv = cid_of[lu], cid_of[lv]
-        self._cadd(cu, cv)
+        self._cshift(cu, cv, 1)
         level = self._level
         limit = level[cu]
         low = level[cv]
@@ -578,24 +600,25 @@ class DynamicSCC:
         lu, lv = int(self._labels[u]), int(self._labels[v])
         if lu != lv:
             # losing a condensation edge only removes constraints.
-            self._cdel(self._cid_of[lu], self._cid_of[lv])
+            self._cshift(self._cid_of[lu], self._cid_of[lv], -1)
             self.stats.cross_deletes += 1
             return False
         if u == v:
             self.stats.intact_deletes += 1
             return False
-        members = self._members[lu]
-        if self._reaches_within(u, v, members):
+        probe = self._reaches_within(u, v, lu)
+        if probe is None:
             # intact certificate: u still reaches v inside the
             # component, so every old path can be patched around the
             # lost edge and the partition stands.
             self.stats.intact_deletes += 1
             return False
-        if members.size > self.damage_threshold * self._labels.shape[0]:
+        size = self._members[lu].size
+        if size > self.damage_threshold * self._labels.shape[0]:
             self.stats.rebuilds += 1
             self.rebuild()
             return True
-        self._split(lu, members)
+        self._split(lu, u, v, *probe)
         return True
 
     def apply(
@@ -603,13 +626,41 @@ class DynamicSCC:
         inserts: Sequence[Tuple[int, int]] = (),
         deletes: Sequence[Tuple[int, int]] = (),
     ) -> bool:
-        """Apply a batch (inserts first); True when labels changed."""
+        """Apply a batch (inserts first); True when labels changed.
+
+        Every endpoint is checked (an integer id in ``[0, n)``) before
+        the first edit lands, so a rejected batch leaves the graph and
+        the labels as they were.
+        """
+        inserts = self._checked_edges(inserts, "insert")
+        deletes = self._checked_edges(deletes, "delete")
         changed = False
         for u, v in inserts:
             changed |= self.insert(u, v)
         for u, v in deletes:
             changed |= self.delete(u, v)
         return changed
+
+    def _checked_edges(
+        self, edges: Iterable[Tuple[int, int]], what: str
+    ) -> List[Tuple[int, int]]:
+        """``edges`` as ``(u, v)`` int pairs; ``ValueError`` on a
+        non-integer or out-of-range endpoint."""
+        n = self._delta.num_nodes
+        out = []
+        for edge in edges:
+            try:
+                u, v = (operator.index(x) for x in edge)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"bad {what} {edge!r}: need a pair of integer node ids"
+                ) from exc
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(
+                    f"{what} endpoint out of range [0, {n}): ({u}, {v})"
+                )
+            out.append((u, v))
+        return out
 
     def rebuild(self) -> None:
         """Recompute every label and level from the merged snapshot."""
@@ -626,19 +677,24 @@ class DynamicSCC:
     # Delete internals
     # ------------------------------------------------------------------
     def _reaches_within(
-        self, source: int, target: int, members: np.ndarray
-    ) -> bool:
+        self, source: int, target: int, rep: int
+    ) -> Optional[Tuple[bool, np.ndarray]]:
         """Restricted bidirectional BFS ``source -> target`` inside
-        ``members`` over the merged view, exiting on first contact.
+        component ``rep`` over the merged view, exiting on first
+        contact.
 
         Always expands the smaller frontier — forward from ``source``
         or backward from ``target`` — so a positive answer costs two
         meet-in-the-middle balls instead of one sweep of the whole
         component (decisive on hub-heavy graphs, where both endpoints
-        sit a couple of hops from the core)."""
-        n = self._labels.shape[0]
-        member = np.zeros(n, dtype=bool)
-        member[members] = True
+        sit a couple of hops from the core).
+
+        Returns ``None`` when ``source`` reaches ``target``.  Otherwise
+        one flood exhausted first: the result is ``(forward, seen)``,
+        True for the flood from ``source``, and the length-n mask
+        marking the flood's nodes."""
+        labels = self._labels
+        n = labels.shape[0]
         fwd_seen = np.zeros(n, dtype=bool)
         bwd_seen = np.zeros(n, dtype=bool)
         fwd_seen[source] = True
@@ -647,8 +703,9 @@ class DynamicSCC:
         bwd = np.array([target], dtype=np.int64)
         fwd_view = self._delta.forward_view()
         bwd_view = self._delta.backward_view()
-        while fwd.size and bwd.size:
-            if fwd.size <= bwd.size:
+        while True:
+            forward = fwd.size <= bwd.size
+            if forward:
                 view, frontier = fwd_view, fwd
                 seen, other = fwd_seen, bwd_seen
             else:
@@ -656,47 +713,152 @@ class DynamicSCC:
                 seen, other = bwd_seen, fwd_seen
             nxt = delta_expand_frontier(*view, frontier, unique=True)
             if nxt.size:
-                nxt = nxt[member[nxt] & ~seen[nxt]]
+                nxt = nxt[(labels[nxt] == rep) & ~seen[nxt]]
             if nxt.size == 0:
-                return False
+                return forward, seen
             if bool(other[nxt].any()):
-                return True
+                return None
             seen[nxt] = True
-            if seen is fwd_seen:
+            if forward:
                 fwd = nxt
             else:
                 bwd = nxt
-        return False
 
-    def _split(self, rep: int, members: np.ndarray) -> None:
-        """FW-BW recompute restricted to one broken component."""
+    def _split(
+        self, rep: int, u: int, v: int, forward: bool, in_flood: np.ndarray
+    ) -> None:
+        """Split component ``rep`` after deleting ``u -> v``, given the
+        flood that exhausted the intact probe (see the module notes).
+
+        The flood is one SCC.  Forward from ``u`` nothing leaves it
+        inside the component, so the remainder's boundary is its
+        in-neighbors and the check walks backward from ``v``; backward
+        from ``v`` it is the mirror image.  When the walk covers the
+        boundary the split is the flood plus the remainder, ranked by
+        the one direction their edges run in; otherwise FW-BW peels
+        the component's induced subgraph."""
+        members = self._members[rep]
+        inside = in_flood[members]
+        flood = members[inside]
+        labels = self._labels
+        delta = self._delta
+        view = delta.backward_view() if forward else delta.forward_view()
+        boundary = delta_expand_frontier(*view, flood, unique=True)
+        boundary = boundary[(labels[boundary] == rep) & ~in_flood[boundary]]
+        if self._covers(view, v if forward else u, rep, in_flood, boundary):
+            rest = members[~inside]
+            # edges run remainder -> forward flood, backward flood ->
+            # remainder: the part they leave has rank 0.
+            parts = [
+                (int(flood[0]), flood, int(forward)),
+                (int(rest[0]), rest, int(not forward)),
+            ]
+            self.stats.peeled_splits += 1
+        else:
+            sub, mapping = delta.induced_subgraph(members)
+            sublabels = _peel_scc(sub)
+            ranks = _condensation_ranks(sub, sublabels)
+            parts = [
+                (int(mapping[r]), mapping[part], ranks[r])
+                for r, part in _group_members(sublabels).items()
+            ]
+        self._install_parts(rep, parts)
+
+    def _covers(
+        self,
+        view: tuple,
+        start: int,
+        rep: int,
+        excluded: np.ndarray,
+        targets: np.ndarray,
+    ) -> bool:
+        """BFS from ``start`` over ``view`` through component ``rep``
+        minus the ``excluded`` mask: True as soon as every node of
+        ``targets`` (unique) is reached, False when the BFS exhausts
+        first."""
+        labels = self._labels
+        n = labels.shape[0]
+        pending = np.zeros(n, dtype=bool)
+        pending[targets] = True
+        left = int(targets.size) - int(pending[start])
+        seen = np.zeros(n, dtype=bool)
+        seen[start] = True
+        frontier = np.array([start], dtype=np.int64)
+        while left:
+            nxt = delta_expand_frontier(*view, frontier, unique=True)
+            if nxt.size:
+                nxt = nxt[
+                    (labels[nxt] == rep) & ~excluded[nxt] & ~seen[nxt]
+                ]
+            if nxt.size == 0:
+                return False
+            seen[nxt] = True
+            left -= int(np.count_nonzero(pending[nxt]))
+            frontier = nxt
+        return True
+
+    def _install_parts(
+        self, rep: int, parts: List[Tuple[int, np.ndarray, int]]
+    ) -> None:
+        """Replace component ``rep`` by ``parts``, each ``(label,
+        sorted members, rank in the split's condensation)``.
+
+        Mirrors a merge's fold: the largest part keeps the old cid, so
+        its external edges stay where they are and only the other
+        parts' incident edges move — O(degree of what fell off).  Each
+        part sits at the old level plus its rank; only parts ranked
+        above 0 can sit too close to an old successor, so only their
+        successors seed the level cascade.
+        """
         level = self._level
         cid_of, rep_of = self._cid_of, self._rep_of
+        labels = self._labels
         old_cid = cid_of.pop(rep)
-        old_level = level.pop(old_cid)
-        del rep_of[old_cid]
-        sub, mapping = self._delta.induced_subgraph(members)
-        sublabels = _peel_scc(sub)
+        old_level = level[old_cid]
         del self._members[rep]
-        new_labels = mapping[sublabels]
-        self._labels[mapping] = new_labels
-        groups = _group_members(sublabels)
-        ranks = _condensation_ranks(sub, sublabels)
-        # every part gets a fresh cid — the old cid (and external
-        # references to it) die in the recount below.
-        for sub_rep, sub_members in groups.items():
-            part = mapping[sub_members]
-            g_rep = int(mapping[sub_rep])
-            self._members[g_rep] = part
-            c = self._cid_next
-            self._cid_next = c + 1
-            cid_of[g_rep] = c
-            rep_of[c] = g_rep
-            level[c] = old_level + ranks[sub_rep]
-        self._recount_after_split(old_cid, members)
+        kept = max(parts, key=lambda p: p[1].size)[0]
+        moved = []
+        for r, nodes, rank in parts:
+            self._members[r] = nodes
+            if r != rep:
+                labels[nodes] = r
+            if r == kept:
+                c = old_cid
+            else:
+                c = self._cid_next
+                self._cid_next = c + 1
+                moved.append((c, r, nodes))
+            cid_of[r] = c
+            rep_of[c] = r
+            level[c] = old_level + rank
+        split = {cid_of[r] for r, _, _ in parts}
+        fwd_view = self._delta.forward_view()
+        bwd_view = self._delta.backward_view()
+        for c, r, nodes in moved:
+            # out-edges: an external target's edges leave the kept cid
+            ends = labels[delta_expand_frontier(*fwd_view, nodes)]
+            ends, counts = np.unique(ends[ends != r], return_counts=True)
+            for t, k in zip(ends.tolist(), counts.tolist()):
+                t = cid_of[t]
+                if t not in split:
+                    self._cshift(old_cid, t, -k)
+                self._cshift(c, t, k)
+            # in-edges: a moved part's edges into ``c`` were counted
+            # with its out-edges above
+            ends = labels[delta_expand_frontier(*bwd_view, nodes)]
+            ends, counts = np.unique(ends[ends != r], return_counts=True)
+            for s, k in zip(ends.tolist(), counts.tolist()):
+                s = cid_of[s]
+                if s not in split:
+                    self._cshift(s, old_cid, -k)
+                elif s != old_cid:
+                    continue
+                self._cshift(s, c, k)
         seeds: List[Tuple[int, int]] = []
-        for sub_rep in groups:
-            c = cid_of[int(mapping[sub_rep])]
+        for r, _, rank in parts:
+            if not rank:
+                continue
+            c = cid_of[r]
             lvl = level[c]
             seeds.extend(
                 (s, lvl + 1)
@@ -704,56 +866,8 @@ class DynamicSCC:
                 if level[s] <= lvl
             )
         self.stats.splits += 1
-        self.stats.split_components += len(groups)
+        self.stats.split_components += len(parts)
         self._raise_levels(seeds)
-
-    def _recount_after_split(
-        self, old_cid: int, members: np.ndarray
-    ) -> None:
-        """Patch the condensation index after a component split.
-
-        The old cid's adjacency (and every external reference to it)
-        is dropped, then the edges incident to the old member set are
-        recounted from the merged view — O(component edges), the same
-        order as the split recompute itself.
-        """
-        for t in self._csucc.pop(old_cid, _NO_NEIGHBORS):
-            self._cpred[t].pop(old_cid, None)
-        for s in self._cpred.pop(old_cid, _NO_NEIGHBORS):
-            self._csucc[s].pop(old_cid, None)
-        labels = self._labels
-        n = np.int64(labels.shape[0])
-        in_members = np.zeros(int(n), dtype=bool)
-        in_members[members] = True
-        # edges out of the old member set (covers part -> part too)
-        targets, sources = delta_expand_frontier(
-            *self._delta.forward_view(), members, return_sources=True
-        )
-        pairs = []
-        if targets.size:
-            ls, ld = labels[sources], labels[targets]
-            mask = ls != ld
-            pairs.append((ls[mask], ld[mask]))
-        # edges into the old member set from external components only
-        # (member-to-member edges were counted by the forward pass)
-        origins, seats = delta_expand_frontier(
-            *self._delta.backward_view(), members, return_sources=True
-        )
-        if origins.size:
-            ext = ~in_members[origins]
-            ls, ld = labels[origins[ext]], labels[seats[ext]]
-            mask = ls != ld
-            pairs.append((ls[mask], ld[mask]))
-        cid_of = self._cid_of
-        for ls, ld in pairs:
-            key, counts = np.unique(ls * n + ld, return_counts=True)
-            for k, c in zip(key.tolist(), counts.tolist()):
-                a, b = divmod(k, int(n))
-                ca, cb = cid_of[a], cid_of[b]
-                succ = self._csucc.setdefault(ca, {})
-                succ[cb] = succ.get(cb, 0) + c
-                pred = self._cpred.setdefault(cb, {})
-                pred[ca] = pred.get(ca, 0) + c
 
     # ------------------------------------------------------------------
     # Verification (tests / self-audit)

@@ -6,9 +6,12 @@ beats the reference (frontier-density-adaptive dedup, a
 level-synchronous rewrite of the phase-2 DFS, repeat-based colour
 matching in the Trim decrement).  Kernels with no better pure-NumPy
 formulation — the WCC hook round, whose sequential ``minimum.at``
-semantics are load-bearing for trace invariance, and the Trim2 pattern
-match — simply keep the reference implementation via the registry's
-per-kernel fallback rule.
+semantics are load-bearing for trace invariance, the Trim2 pattern
+match, and the merged-view ``delta_expand_frontier`` of the dynamic
+maintainer, whose argsort-grouped reference beat a sort-free scatter
+variant on both small and all-node frontiers — simply keep the
+reference implementation via the registry's per-kernel fallback
+rule.
 
 Every function here is parity-tested against
 :mod:`repro.kernels.reference`: identical sorted output arrays,
@@ -26,7 +29,6 @@ from .registry import register
 
 __all__ = [
     "bfs_level_transform",
-    "delta_expand_frontier",
     "trim_decrement",
     "dfs_collect_colored",
     "ms_expand_frontier",
@@ -277,86 +279,3 @@ def ms_fwbw_intersect(
     claim &= ~claim + np.uint64(1)  # lowest set bit
     cat[claimed & (claim == bits)] = reference.MS_SCC
     return cat
-
-
-@register("delta_expand_frontier", "numba")
-def delta_expand_frontier(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    tomb: np.ndarray,
-    add_indptr: np.ndarray,
-    add_indices: np.ndarray,
-    frontier: np.ndarray,
-    *,
-    return_sources: bool = False,
-    unique: bool = False,
-) -> Tuple[np.ndarray, np.ndarray] | np.ndarray:
-    """Sort-free merged-view expansion (reference contract, scatter
-    layout).
-
-    The reference realizes the per-slot base-then-adds grouping with a
-    stable argsort over slot keys; here the destination offset of every
-    entry is computed directly — out-row pointers from the per-slot
-    live/add counts, within-row ranks from cumulative sums — and the
-    targets scattered into place, dropping the O(k log k) sort from
-    every BFS level of the dynamic-SCC traversals.
-    """
-    if unique and return_sources:
-        raise ValueError("unique=True cannot be combined with return_sources")
-    frontier = np.asarray(frontier, dtype=np.int64)
-    num_nodes = indptr.shape[0] - 1
-    nf = frontier.shape[0]
-    if nf == 0:
-        return (_EMPTY, _EMPTY) if return_sources else _EMPTY
-    counts_b = reference.segment_counts(indptr, frontier)
-    counts_a = reference.segment_counts(add_indptr, frontier)
-    total_b = reference.segment_total(counts_b, indices)
-    total_a = reference.segment_total(counts_a, add_indices)
-    if total_b:
-        starts = indptr[frontier].astype(np.int64, copy=False)
-        cum_b = np.cumsum(counts_b)
-        idx = np.arange(total_b, dtype=np.int64) + np.repeat(
-            starts - (cum_b - counts_b), counts_b
-        )
-        live = ~tomb[idx]
-        live_per_slot = np.bincount(
-            np.repeat(np.arange(nf, dtype=np.int64), counts_b)[live],
-            minlength=nf,
-        ).astype(np.int64)
-    else:
-        live = None
-        live_per_slot = np.zeros(nf, dtype=np.int64)
-    out_counts = live_per_slot + counts_a
-    total = int(out_counts.sum())
-    if total == 0:
-        return (_EMPTY, _EMPTY) if return_sources else _EMPTY
-    out_starts = np.concatenate(
-        ([0], np.cumsum(out_counts, dtype=np.int64))
-    )[:-1]
-    targets = np.empty(total, dtype=np.int64)
-    if total_b and live is not None and live.any():
-        # rank of each surviving entry within its slot's live run
-        live_before = np.concatenate(
-            ([0], np.cumsum(live_per_slot, dtype=np.int64))
-        )[:-1]
-        rank = np.cumsum(live, dtype=np.int64) - 1 - np.repeat(
-            live_before, counts_b
-        )
-        dest = np.repeat(out_starts, counts_b) + rank
-        targets[dest[live]] = indices[idx][live]
-    if total_a:
-        cum_a = np.cumsum(counts_a)
-        rank_a = np.arange(total_a, dtype=np.int64) - np.repeat(
-            cum_a - counts_a, counts_a
-        )
-        dest_a = np.repeat(out_starts + live_per_slot, counts_a) + rank_a
-        a_starts = add_indptr[frontier].astype(np.int64, copy=False)
-        a_idx = np.arange(total_a, dtype=np.int64) + np.repeat(
-            a_starts - (cum_a - counts_a), counts_a
-        )
-        targets[dest_a] = add_indices[a_idx]
-    if return_sources:
-        return targets, np.repeat(frontier, out_counts)
-    if unique:
-        return reference.dedup_sorted(targets, num_nodes)
-    return targets

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.tarjan import tarjan_scc
+from repro.engine import dynamic
 from repro.engine.dynamic import (
     DEFAULT_DAMAGE_THRESHOLD,
     DynamicSCC,
@@ -149,6 +150,106 @@ class TestDeleteTaxonomy:
         dyn.verify()
 
 
+class TestPeelOff:
+    """An intra-component delete whose probe fails: the flood that
+    exhausted is one SCC, and the boundary walk certifies the rest."""
+
+    def test_forward_flood_peels_off(self):
+        # 3's only out-edge inside the component is 3 -> 0, so the
+        # forward flood from 3 exhausts at once: {3} sinks below the
+        # remainder {0, 1, 2}, which keeps its label.
+        dyn = make_dyn(
+            [(0, 1), (1, 0), (1, 2), (2, 0), (1, 3), (3, 0)],
+            4,
+            damage_threshold=1.0,
+        )
+        assert dyn.delete(3, 0)
+        assert dyn.labels.tolist() == [0, 0, 0, 3]
+        assert dyn.stats.splits == dyn.stats.peeled_splits == 1
+        assert dyn.stats.split_components == 2
+        assert dyn.level_of(0) < dyn.level_of(3)
+        assert_levels_hold(dyn)
+        dyn.verify()
+
+    def test_backward_flood_peels_off(self):
+        # 0 has two other out-edges, so the probe turns to the smaller
+        # backward side: 3's only in-edge was 0 -> 3, and {3} becomes
+        # a source above which the remainder {0, 1, 2} is raised.
+        dyn = make_dyn(
+            [(0, 1), (0, 2), (1, 0), (2, 0), (0, 3), (3, 1)],
+            4,
+            damage_threshold=1.0,
+        )
+        assert dyn.delete(0, 3)
+        assert dyn.labels.tolist() == [0, 0, 0, 3]
+        assert dyn.stats.splits == dyn.stats.peeled_splits == 1
+        assert dyn.level_of(3) < dyn.level_of(0)
+        assert_levels_hold(dyn)
+        dyn.verify()
+
+    def test_peeled_minimum_relabels_the_remainder_in_place(self):
+        # 0 falls off the cycle 1 -> 2 -> 3 -> 1; the remainder is
+        # the larger part, so it keeps the component's cid under its
+        # new minimum label 1.
+        dyn = make_dyn(
+            [(1, 2), (2, 3), (3, 1), (1, 0), (0, 2)],
+            4,
+            damage_threshold=1.0,
+        )
+        cid = dyn._cid_of[0]
+        assert dyn.delete(0, 2)
+        assert dyn.labels.tolist() == [0, 1, 1, 1]
+        assert dyn.members(1).tolist() == [1, 2, 3]
+        assert dyn.stats.peeled_splits == 1
+        assert dyn._cid_of[1] == cid
+        assert dyn._cid_of[0] != cid
+        assert_levels_hold(dyn)
+        dyn.verify()
+
+    def test_broken_remainder_falls_back_to_fwbw(self):
+        # {4} peels off, but the remainder 0<->1 -> 2<->3 is two SCCs:
+        # the backward walk from 0 never reaches the boundary node 3.
+        dyn = make_dyn(
+            [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 4), (4, 0)],
+            5,
+            damage_threshold=1.0,
+        )
+        assert dyn.delete(4, 0)
+        assert dyn.stats.splits == 1
+        assert dyn.stats.peeled_splits == 0
+        assert dyn.stats.split_components == 3
+        want = rep_labels(tarjan_scc(dyn.delta.snapshot()))
+        assert dyn.labels.tolist() == want.tolist() == [0, 0, 2, 2, 4]
+        assert_levels_hold(dyn)
+        dyn.verify()
+
+    def test_satellite_peels_without_fwbw(self, monkeypatch):
+        # a 200-node ring with chords, plus satellite 200 hanging off it
+        # by one edge each way: cutting 200 -> 0 must not extract the
+        # giant's induced subgraph or run FW-BW over it.
+        rng = np.random.default_rng(7)
+        n = 200
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        edges += [
+            (int(a), int(b)) for a, b in rng.integers(0, n, (400, 2))
+        ]
+        edges += [(200, 0), (57, 200)]
+        dyn = make_dyn(sorted(set(edges)), n + 1, damage_threshold=1.0)
+        assert dyn.num_components == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the peel-off ran the FW-BW fallback")
+
+        monkeypatch.setattr(DeltaCSR, "induced_subgraph", refuse)
+        monkeypatch.setattr(dynamic, "_peel_scc", refuse)
+        assert dyn.delete(200, 0)
+        assert dyn.stats.peeled_splits == 1
+        assert dyn.members(0).size == n
+        assert dyn.labels[200] == 200
+        assert_levels_hold(dyn)
+        dyn.verify()
+
+
 class TestRecomputeHook:
     def test_custom_recompute_used_for_init_and_rebuild(self):
         calls = []
@@ -199,24 +300,47 @@ class TestRepLabels:
 
 
 class TestFuzzStream:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_stream_never_diverges(self, seed):
+    @pytest.mark.parametrize(
+        "seed,live_deletes",
+        [(0, False), (1, False), (2, False), (3, False), (4, True)],
+        ids=["0", "1", "2", "3", "live-deletes"],
+    )
+    def test_random_stream_never_diverges(self, seed, live_deletes):
+        """Random pairs mostly miss the graph on delete; the
+        ``live_deletes`` input deletes live edges instead, so half its
+        updates land and components keep splitting in place (through
+        both the peel-off certificate and the FW-BW fallback)."""
         n = 30
         base = random_digraph(n, 60, seed=seed)
         delta = DeltaCSR(base, compact_ratio=10.0)
-        dyn = DynamicSCC(delta)
+        dyn = DynamicSCC(
+            delta,
+            damage_threshold=(
+                1.0 if live_deletes else DEFAULT_DAMAGE_THRESHOLD
+            ),
+        )
         rng = np.random.default_rng(seed + 1000)
         for step in range(200):
             u = int(rng.integers(0, n))
             v = int(rng.integers(0, n))
             if rng.integers(0, 2):
                 dyn.insert(u, v)
-            else:
+            elif not live_deletes:
                 dyn.delete(u, v)
+            else:
+                src, dst = delta.edge_array()
+                i = int(rng.integers(0, src.size))
+                splits = dyn.stats.splits
+                changed = dyn.delete(int(src[i]), int(dst[i]))
+                assert changed == (dyn.stats.splits > splits)
+                if changed:
+                    dyn.verify()
             if step % 20 == 19:
                 dyn.verify()
                 assert_levels_hold(dyn)
         dyn.verify()
+        if live_deletes:
+            assert 0 < dyn.stats.peeled_splits < dyn.stats.splits
         # the member index and the label array tell the same story
         total = 0
         for rep in np.unique(dyn.labels):

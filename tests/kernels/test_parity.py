@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import get_kernel, use_backend
-from repro.kernels import fastpath, jit, reference
+from repro.kernels import jit, reference
 from tests.conftest import random_digraph
 
 SEEDS = [0, 1, 2, 7]
@@ -84,13 +84,8 @@ class TestRottenIndptr:
         frontier = np.array([1, 5, n - 1], dtype=np.int64)
         if impl == "expand_frontier":
             return reference.expand_frontier(indptr, g.indices, frontier)
-        kernel = (
-            reference.delta_expand_frontier
-            if impl == "reference_delta"
-            else fastpath.delta_expand_frontier
-        )
         tomb = np.zeros(g.num_edges, dtype=bool)
-        return kernel(
+        return reference.delta_expand_frontier(
             indptr, g.indices, tomb, add_indptr, add_indices, frontier
         )
 
@@ -100,8 +95,6 @@ class TestRottenIndptr:
             ("expand_frontier", "base"),
             ("reference_delta", "base"),
             ("reference_delta", "add"),
-            ("fastpath_delta", "base"),
-            ("fastpath_delta", "add"),
         ],
     )
     def test_refused_without_allocating(self, impl, rot):

@@ -88,6 +88,32 @@ class TestValidation:
         finally:
             svc.close()
 
+    def test_out_of_range_batch_lands_no_edit(self):
+        """A batch whose last endpoint is out of range is refused before
+        its first edit lands, so the session stays sealed at the last
+        committed version: the next read answers it on the first try,
+        with nothing quarantined."""
+        svc = in_process_service()
+        try:
+            first = svc.handle(update_request(inserts=[merging_edge()]))
+            assert first["ok"] and first["graph_version"] == 1
+            bad = svc.handle(
+                update_request(inserts=[(1, 9), (2, 11), (1_000_000, 0)])
+            )
+            assert not bad["ok"]
+            assert bad["error_type"] == "ValueError"
+            assert not bad["transient"]
+            run = svc.handle({"op": "run", "graph": GRAPH, "scale": SCALE})
+            assert run["ok"], run
+            assert run["graph_version"] == 1
+            assert run["labels_crc32"] == first["labels_crc32"]
+            assert run["attempts"] == 1
+            integrity = svc.stats()["integrity"]
+            assert integrity["quarantines"] == 0
+            assert integrity["detected"] == 0
+        finally:
+            svc.close()
+
 
 class TestUpdateSemantics:
     def test_version_monotone_and_crc_matches_run(self, tmp_path):
