@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import CSRGraph
+from ..kernels import sorted_unique
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from ..traversal.frontier import expand_frontier
 from .result import SCCResult
@@ -95,7 +96,7 @@ def color_propagation_round(
         if t.size == 0:
             break
         ok = (~in_scc[t]) & (colors[t] == colors[s]) & is_active[t]
-        nxt = np.unique(t[ok])
+        nxt = sorted_unique(t[ok])
         if nxt.size == 0:
             break
         in_scc[nxt] = True

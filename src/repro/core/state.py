@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..graph import CSRGraph
+from ..kernels import sorted_unique
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from ..runtime.metrics import ExecutionProfile
 
@@ -112,7 +113,7 @@ def check_complete_labels(
     if np.any(phase_of < 0):
         raise StateInvariantError("labelled node without phase attribution")
     if labels.size:
-        ids = np.unique(labels)
+        ids = sorted_unique(labels)
         k = ids.size if num_sccs is None else num_sccs
         if ids[0] != 0 or ids[-1] != k - 1 or ids.size != k:
             raise StateInvariantError(

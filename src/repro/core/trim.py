@@ -27,7 +27,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..kernels import effective_degrees_arrays, trim_decrement
+from ..kernels import effective_degrees_arrays, sorted_unique, trim_decrement
 from .state import PHASE_TRIM, SCCState
 
 __all__ = [
@@ -127,7 +127,7 @@ def par_trim(
             if hit.size:
                 touched_parts.append(hit)
         if touched_parts:
-            touched = np.unique(np.concatenate(touched_parts))
+            touched = sorted_unique(np.concatenate(touched_parts))
             touched = touched[~mark[touched]]
             if restrict is not None:
                 touched = touched[restrict[touched]]

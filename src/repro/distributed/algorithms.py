@@ -36,6 +36,7 @@ from ..core.recurfwbw import collect_color_sets, run_recur_phase
 from ..core.state import PHASE_FWBW, PHASE_TRIM, SCCState
 from ..core.trim import effective_degrees, trim_candidates
 from ..graph import CSRGraph
+from ..kernels import sorted_unique
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from ..runtime.trace import TaskDAGRecord
 from ..traversal.frontier import expand_frontier
@@ -120,7 +121,7 @@ def dist_bfs_reach(
         tc = color[targets]
         next_parts: List[np.ndarray] = []
         for old, new in transitions.items():
-            hit = np.unique(targets[tc == old])
+            hit = sorted_unique(targets[tc == old])
             if hit.size:
                 color[hit] = new
                 collected[new].append(hit)
@@ -197,7 +198,7 @@ def dist_trim(
             )
         dtrace.superstep(phase, step_work, step_sent)
         if touched_parts:
-            touched = np.unique(np.concatenate(touched_parts))
+            touched = sorted_unique(np.concatenate(touched_parts))
             touched = touched[~mark[touched]]
         else:
             touched = np.empty(0, dtype=np.int64)

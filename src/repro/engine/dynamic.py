@@ -120,6 +120,7 @@ from ..kernels import (
     MS_UNREACHED,
     delta_expand_frontier,
     ms_fwbw_intersect,
+    sorted_unique,
 )
 
 __all__ = ["DynamicSCC", "DynamicStats", "DEFAULT_DAMAGE_THRESHOLD"]
@@ -294,7 +295,7 @@ class DynamicSCC:
     def _rebuild_levels(self) -> None:
         """Longest-path (Kahn wave) levels of the whole condensation."""
         labels = self._labels
-        reps = np.unique(labels)
+        reps = sorted_unique(labels)
         k = reps.shape[0]
         src, dst = self._delta.edge_array()
         ls, ld = labels[src], labels[dst]
@@ -302,7 +303,7 @@ class DynamicSCC:
         cs = np.searchsorted(reps, ls[mask])
         cd = np.searchsorted(reps, ld[mask])
         if cs.size:
-            key = np.unique(cs * np.int64(k) + cd)
+            key = sorted_unique(cs * np.int64(k) + cd)
             cs, cd = key // k, key % k
         counts = np.bincount(cs, minlength=k).astype(np.int64)
         cindptr = np.r_[0, np.cumsum(counts)]
@@ -980,7 +981,7 @@ def _condensation_ranks(
 ) -> Dict[int, int]:
     """Longest-path rank of every component of ``sub``'s condensation
     (0 for sources), keyed by representative label."""
-    reps = np.unique(sublabels)
+    reps = sorted_unique(sublabels)
     k = reps.shape[0]
     src, dst = sub.edge_array()
     ls, ld = sublabels[src], sublabels[dst]
@@ -988,7 +989,7 @@ def _condensation_ranks(
     cs = np.searchsorted(reps, ls[mask])
     cd = np.searchsorted(reps, ld[mask])
     if cs.size:
-        key = np.unique(cs * np.int64(k) + cd)
+        key = sorted_unique(cs * np.int64(k) + cd)
         cs, cd = key // k, key % k
     counts = np.bincount(cs, minlength=k).astype(np.int64)
     cindptr = np.r_[0, np.cumsum(counts)]

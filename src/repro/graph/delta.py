@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..kernels import sorted_unique
 from .build import from_edge_array
 from .csr import CSRGraph
 
@@ -381,7 +382,7 @@ class DeltaCSR:
         log, so the restricted FW-BW recompute after an intra-SCC
         delete sees the live graph without paying for a full snapshot.
         """
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
         if nodes.size and (nodes[0] < 0 or nodes[-1] >= self.num_nodes):
             raise ValueError("node id out of range")
         member = np.zeros(self.num_nodes, dtype=bool)

@@ -12,6 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..kernels import sorted_unique
 from .csr import CSRGraph
 from .build import from_edge_array
 
@@ -27,7 +28,7 @@ def induced_subgraph(
     of the subgraph's node ``i``.  Nodes are renumbered ``0..k-1`` in
     ascending original-id order.
     """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
     if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.num_nodes):
         raise ValueError("node id out of range")
     member = np.zeros(g.num_nodes, dtype=bool)

@@ -15,8 +15,9 @@ assumption with three cooperating defenses (DESIGN.md §14):
   mismatch raises :class:`~repro.errors.IntegrityError` (exit 20);
 * :mod:`repro.integrity.certify` — machine-checkable result
   certificates (:func:`certify_result`): canonical CRC, sampled FW∧BW
-  membership proofs reusing the phase-2 multi-source kernels, and a
-  full Tarjan cross-check tier for small graphs;
+  membership proofs (one forward and one backward BFS per sampled
+  SCC, confined to its label), and a full Tarjan cross-check tier for
+  small graphs;
 * :mod:`repro.integrity.audit` — the continuous self-audit loop
   (:class:`SelfAuditor`): a deterministic sample of completed requests
   re-executed on the serial reference-NumPy path, mismatches

@@ -51,6 +51,7 @@ from .reference import (
     MS_UNREACHED,
     dedup_sorted,
     segment_counts,
+    sorted_unique,
 )
 from . import reference as _reference  # registers the numpy backend
 from . import fastpath as _fastpath  # registers the no-numba fallbacks
@@ -83,6 +84,7 @@ __all__ = [
     "resolve_backend",
     "segment_counts",
     "set_backend",
+    "sorted_unique",
     "trim2_pattern_pairs",
     "trim_decrement",
     "use_backend",
@@ -100,15 +102,17 @@ def _transition_arrays(
     the two only agree when no transition can re-trigger on a freshly
     written colour.  Every caller maps onto freshly allocated colours,
     so the restriction is free — but it is load-bearing for backend
-    parity, hence checked here once for all backends.
+    parity, hence checked here once for all backends.  The check runs
+    at every BFS level on a two- or three-entry map, so it is a set
+    test (under 1 µs), not ``np.isin`` (about 30 µs on NumPy 2.4).
     """
-    olds = np.fromiter(transitions.keys(), dtype=np.int64, count=len(transitions))
-    news = np.fromiter(transitions.values(), dtype=np.int64, count=len(transitions))
-    if np.isin(news, olds).any():
+    if not transitions.keys().isdisjoint(transitions.values()):
         raise ValueError(
             f"transition targets may not also be transition sources: "
             f"{transitions}"
         )
+    olds = np.fromiter(transitions.keys(), dtype=np.int64, count=len(transitions))
+    news = np.fromiter(transitions.values(), dtype=np.int64, count=len(transitions))
     return olds, news
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import sorted_unique
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from ..runtime.trace import WorkTrace
 from .bfs import BFSResult
@@ -98,7 +99,7 @@ def direction_optimizing_bfs(
             targets = expand_frontier(fwd_ptr, fwd_idx, frontier)
             scanned = int(targets.size)
             ok = candidates[targets]
-            new_frontier = np.unique(targets[ok])
+            new_frontier = sorted_unique(targets[ok])
 
         edges += scanned
         if trace is not None:

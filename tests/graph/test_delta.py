@@ -8,7 +8,12 @@ import pytest
 
 from repro.graph import CSRGraph, from_edge_array, induced_subgraph
 from repro.graph.delta import DEFAULT_COMPACT_RATIO, DeltaCSR
-from repro.kernels import delta_expand_frontier, get_kernel, use_backend
+from repro.kernels import (
+    delta_expand_frontier,
+    get_kernel,
+    sorted_unique,
+    use_backend,
+)
 from tests.conftest import random_digraph
 
 
@@ -209,6 +214,42 @@ class TestKernelViews:
         for u in frontier.tolist():
             want_b.update(delta.in_neighbors(u).tolist())
         assert back.tolist() == sorted(want_b)
+
+    @pytest.mark.parametrize(
+        "mix", ["base-only", "add-only", "tombstoned", "mixed"]
+    )
+    def test_unique_is_sorted_unique_of_plain_expansion(self, mix):
+        """``unique=True`` dedups the gathered targets without the
+        per-slot grouping sort; the answer must not change."""
+        n = 40
+        rng = np.random.default_rng(23)
+        if mix == "add-only":
+            empty = np.empty(0, dtype=np.int64)
+            base = from_edge_array(empty, empty, n)
+        else:
+            base = random_digraph(n, 160, seed=21)
+        delta = DeltaCSR(base, compact_ratio=10.0)
+        if mix == "add-only":
+            for u, v in rng.integers(0, n, size=(120, 2)).tolist():
+                delta.add_edge(u, v)
+        elif mix == "tombstoned":
+            src, dst = delta.edge_array()
+            for u, v in list(zip(src.tolist(), dst.tolist()))[::3]:
+                assert delta.remove_edge(u, v)
+        elif mix == "mixed":
+            for ins, u, v in random_stream(rng, n, 150):
+                (delta.add_edge if ins else delta.remove_edge)(u, v)
+        frontiers = (
+            np.array([5, 0, 5, n - 1, 12], dtype=np.int64),  # sparse
+            np.arange(n, dtype=np.int64),  # dense: the bitmap branch
+        )
+        for view in (delta.forward_view(), delta.backward_view()):
+            for frontier in frontiers:
+                plain = delta_expand_frontier(*view, frontier)
+                uniq = delta_expand_frontier(*view, frontier, unique=True)
+                assert plain.size
+                assert uniq.dtype == np.int64
+                np.testing.assert_array_equal(uniq, sorted_unique(plain))
 
     def test_backend_outputs_bit_identical(self):
         n = 30

@@ -8,14 +8,13 @@ the graph itself, so relabelings pass and *partition* changes fail.
 import numpy as np
 import pytest
 
-import repro.kernels
+import repro.traversal.bfs
 from repro.core import tarjan_scc
 from repro.core.result import canonical_labels
 from repro.errors import IntegrityError
 from repro.generators import generate
 from repro.graph import from_edge_list
 from repro.integrity import CERTIFY_LEVELS, certify_result
-from repro.kernels import fastpath
 from repro.kernels.reference import DEDUP_DENSITY_DIVISOR
 
 from tests.conftest import SMALL_GRAPHS, random_digraph
@@ -118,26 +117,17 @@ class TestRejects:
 
 
 @pytest.fixture
-def fastpath_sweeps(monkeypatch):
-    """Route the certificate's sweeps through the fastpath kernel and
-    record, per level, whether its merge took the dense branch (more
-    than ``n / 8`` gained nodes implies more than ``n / 8`` live
-    entries)."""
+def dense_levels(monkeypatch):
+    """Record, per level of the certificate's BFS sweeps, whether its
+    dedup took the dense bitmap branch (more than ``n / 8`` targets)."""
     dense = []
-    real_get_kernel = repro.kernels.get_kernel
+    real_dedup = repro.traversal.bfs.dedup_sorted
 
-    def spy(indptr, *args):
-        out = fastpath.ms_expand_frontier(indptr, *args)
-        n = indptr.shape[0] - 1
-        dense.append(out[0].size > n // DEDUP_DENSITY_DIVISOR)
-        return out
+    def spy(values, num_nodes):
+        dense.append(values.size > num_nodes // DEDUP_DENSITY_DIVISOR)
+        return real_dedup(values, num_nodes)
 
-    def get_kernel(name, backend=None):
-        if name == "ms_expand_frontier":
-            return spy
-        return real_get_kernel(name, backend)
-
-    monkeypatch.setattr(repro.kernels, "get_kernel", get_kernel)
+    monkeypatch.setattr(repro.traversal.bfs, "dedup_sorted", spy)
     return dense
 
 
@@ -175,9 +165,9 @@ def bfs_levels(indptr, indices, source, allowed):
 
 class TestRejectsOnGiant:
     """The sampled proof still catches partition errors inside the
-    giant SCC, whose sweep runs the fastpath's dense merge."""
+    giant SCC, whose BFS sweeps run dense, bitmap-deduplicated levels."""
 
-    def test_split_from_the_giant_fails(self, fastpath_sweeps):
+    def test_split_from_the_giant_fails(self, dense_levels):
         g, labels, giant = giant_surrogate()
         inside = labels == giant
         src, dst = edge_arrays(g)
@@ -191,10 +181,10 @@ class TestRejectsOnGiant:
         bad[x] = labels.max() + 1
         with pytest.raises(IntegrityError, match="not FW∧BW-reachable"):
             certify_result(g, bad, level="sample")
-        assert any(fastpath_sweeps)
+        assert any(dense_levels)
         assert certify_result(g, labels, level="sample")["ok"]
 
-    def test_merge_at_the_last_level_fails(self, fastpath_sweeps):
+    def test_merge_at_the_last_level_fails(self, dense_levels):
         g, labels, giant = giant_surrogate()
         inside = labels == giant
         rep = int(np.flatnonzero(inside)[0])
@@ -214,7 +204,7 @@ class TestRejectsOnGiant:
         assert merged[z] == merged.max()
         with pytest.raises(IntegrityError, match="not FW∧BW-reachable"):
             certify_result(g, bad, level="sample")
-        assert any(fastpath_sweeps)
+        assert any(dense_levels)
 
 
 class TestValidation:

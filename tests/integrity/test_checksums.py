@@ -49,6 +49,16 @@ class TestSealVerify:
         with pytest.raises(IntegrityError, match="drifted"):
             cs.verify("a", a.view(np.uint64))
 
+    def test_byte_order_drift_detected(self):
+        """The seal compares whole dtypes: the same bytes read as
+        big-endian hash the same but are another array."""
+        cs = ChecksummedArrays()
+        a = np.arange(8, dtype=np.int64)
+        cs.seal("a", a)
+        cs.verify("a", a.copy())
+        with pytest.raises(IntegrityError, match="drifted"):
+            cs.verify("a", a.view(">i8"))
+
     def test_length_drift_detected(self):
         cs = ChecksummedArrays()
         a = np.zeros(8, dtype=np.int64)

@@ -200,6 +200,28 @@ class TestDispatcherValidation:
         with pytest.raises(ValueError, match="transition targets"):
             kernels.dfs_collect_colored(indptr, indices, 0, {0: 1, 1: 2}, color)
 
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    def test_chained_transition_map_refused_on_every_backend(self, backend):
+        """``{1: 2, 2: 3}``: a target that is also a source is refused
+        before any node is recoloured, with one message everywhere."""
+        indptr = np.array([0, 1, 2, 2], dtype=np.int64)
+        indices = np.array([1, 2], dtype=np.int64)
+        color = np.array([1, 2, 1], dtype=np.int64)
+        chained = {1: 2, 2: 3}
+        want = (
+            "transition targets may not also be transition sources: "
+            f"{chained}"
+        )
+        with use_backend(backend):
+            with pytest.raises(ValueError) as bfs:
+                kernels.bfs_level_transform(
+                    indptr, indices, np.array([0]), color, chained
+                )
+            with pytest.raises(ValueError) as dfs:
+                kernels.dfs_collect_colored(indptr, indices, 0, chained, color)
+        assert str(bfs.value) == str(dfs.value) == want
+        assert color.tolist() == [1, 2, 1]
+
     def test_dfs_pivot_color_must_be_mapped(self):
         indptr = np.array([0, 1, 1], dtype=np.int64)
         indices = np.array([1], dtype=np.int64)
