@@ -506,14 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         "base CSR (default: the graph layer's 0.25)",
     )
     p_serve.add_argument(
-        "--damage-threshold",
-        type=float,
-        default=None,
-        help="component-size fraction of the graph past which an "
-        "intra-SCC delete falls back to one full recompute instead of "
-        "the restricted FW-BW split (default: the engine's 0.5)",
-    )
-    p_serve.add_argument(
         "--read-deadline",
         type=float,
         default=30.0,
@@ -625,14 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-ratio",
         type=float,
         default=None,
-        help="delta-log compaction ratio for the in-process session",
-    )
-    p_stream.add_argument(
-        "--damage-threshold",
-        type=float,
-        default=None,
-        help="intra-SCC delete rebuild threshold for the in-process "
-        "session",
+        help="delta-log compaction ratio for the in-process session; "
+        "refused with --connect, where the daemon's 'repro serve "
+        "--compact-ratio' applies",
     )
     p_stream.add_argument(
         "--max-batches",
@@ -1042,7 +1029,6 @@ def _cmd_serve(args) -> int:
         audit_rate=args.audit_rate,
         audit_seed=args.audit_seed,
         compact_ratio=args.compact_ratio,
-        damage_threshold=args.damage_threshold,
     )
     with SCCService(config, fault_plan=fault_plan) as service:
         if args.preload:
@@ -1125,6 +1111,16 @@ def _cmd_stream(args) -> int:
     from .ingest.consumer import EngineApplier, StreamConsumer
     from .ingest.sources import open_source
 
+    if args.connect and args.compact_ratio is not None:
+        # the daemon promoted (or will promote) the session under its
+        # own ratio; a per-consumer value would be silently ignored.
+        print(
+            "error: --compact-ratio applies to the in-process session; "
+            "a daemon's sessions compact at its 'repro serve "
+            "--compact-ratio'",
+            file=sys.stderr,
+        )
+        return 2
     fault_plan = None
     if args.fault_plan:
         from .runtime.faults import retarget
@@ -1156,18 +1152,13 @@ def _cmd_stream(args) -> int:
     else:
         from .engine import Engine
 
-        engine = Engine(backend="serial")
+        engine = Engine(backend="serial", compact_ratio=args.compact_ratio)
         target = args.graph
         if args.scale is not None:
             # resolve the surrogate once so every batch hits the same
             # warm session.
             target = engine.load(args.graph, scale=args.scale)
-        applier = EngineApplier(
-            engine,
-            target,
-            compact_ratio=args.compact_ratio,
-            damage_threshold=args.damage_threshold,
-        )
+        applier = EngineApplier(engine, target)
     consumer = StreamConsumer(
         source,
         applier,

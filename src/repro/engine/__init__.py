@@ -47,7 +47,7 @@ def __getattr__(name: str):
         from .engine import UpdateReport
 
         return UpdateReport
-    if name in ("DynamicSCC", "DynamicStats", "DEFAULT_DAMAGE_THRESHOLD"):
+    if name in ("DynamicSCC", "DynamicStats"):
         from . import dynamic
 
         return getattr(dynamic, name)
@@ -65,7 +65,6 @@ __all__ = [
     "UpdateReport",
     "DynamicSCC",
     "DynamicStats",
-    "DEFAULT_DAMAGE_THRESHOLD",
     "WorkerPool",
     "fork_available",
     "GraphSession",

@@ -76,11 +76,10 @@ Update taxonomy (mirrored in :class:`DynamicStats`):
     up to its last ``R`` node, a boundary node, so ``x`` reaches
     ``v`` too.  One BFS over the delta view checks this and stops as
     soon as the boundary is covered;
-  - only when that BFS exhausts first does FW-BW peeling — the
-    paper's phase-2 batch kernel
-    (:func:`repro.core.recurfwbw.multi_source_reach`, up to 64
-    bit-packed waves per sweep) — run on the *induced subgraph of
-    that component only*.
+  - only when that BFS exhausts first is the component's *induced
+    subgraph* recomputed from scratch through the maintainer's
+    ``recompute`` hook (by default the paper's Method-2 pipeline) —
+    never the whole graph, however large the broken component is.
 
   On both paths the parts get levels from the old level plus their
   topological rank, and the *largest* part keeps the old cid, so, as
@@ -88,11 +87,6 @@ Update taxonomy (mirrored in :class:`DynamicStats`):
   condensation index.  On the stream-rw edit stream (seed 1: 2,480
   deletes) 119 deletes split a component and the certificate settles
   88 of them.
-* past ``damage_threshold`` (component size as a fraction of the
-  graph) the restricted recompute would approach global cost anyway,
-  so the maintainer falls back to one full rebuild from the merged
-  snapshot.  The threshold is checked as soon as the probe fails,
-  before any split work.
 
 Every traversal here reads the graph through the merged delta view
 (:func:`repro.kernels.delta_expand_frontier`), so labels stay exact
@@ -108,26 +102,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.recurfwbw import multi_source_reach
 from ..core.tarjan import tarjan_scc
 from ..graph import CSRGraph
 from ..graph.delta import DeltaCSR
-from ..kernels import (
-    MS_BW_ONLY,
-    MS_FW_ONLY,
-    MS_MAX_WAVES,
-    MS_SCC,
-    MS_UNREACHED,
-    delta_expand_frontier,
-    ms_fwbw_intersect,
-    sorted_unique,
-)
+from ..kernels import delta_expand_frontier, sorted_unique
 
-__all__ = ["DynamicSCC", "DynamicStats", "DEFAULT_DAMAGE_THRESHOLD"]
-
-#: component-size fraction of the graph past which an intra-component
-#: delete recompute degrades to one full rebuild.
-DEFAULT_DAMAGE_THRESHOLD = 0.5
+__all__ = ["DynamicSCC", "DynamicStats"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -148,6 +128,14 @@ def rep_labels(labels: np.ndarray) -> np.ndarray:
     reps = np.full(uniq.shape[0], n, dtype=np.int64)
     np.minimum.at(reps, inv, np.arange(n, dtype=np.int64))
     return reps[inv]
+
+
+def _method2_labels(g: CSRGraph) -> np.ndarray:
+    """From-scratch labels via the paper's Method-2 pipeline: the
+    default ``recompute`` hook of :class:`DynamicSCC`."""
+    from ..core.api import strongly_connected_components
+
+    return strongly_connected_components(g, "method2").labels
 
 
 def _group_members(labels: np.ndarray) -> Dict[int, np.ndarray]:
@@ -187,10 +175,8 @@ class DynamicStats:
     #: broken components split in place, and components they produced.
     splits: int = 0
     split_components: int = 0
-    #: splits the peel-off certificate settled without FW-BW.
+    #: splits the peel-off certificate settled without a recompute.
     peeled_splits: int = 0
-    #: damage-threshold full rebuilds.
-    rebuilds: int = 0
     #: level-raise queue pops across all cascades.
     cascade_visits: int = 0
 
@@ -210,14 +196,12 @@ class DynamicSCC:
         Current SCC labels of the delta's merged view (any correct
         labeling; normalized to min-member representatives here).
         ``None`` computes them from scratch.
-    damage_threshold:
-        See :data:`DEFAULT_DAMAGE_THRESHOLD`.
     recompute:
-        ``graph -> labels`` callable used for from-scratch recomputes
-        (missing initial labels, damage-threshold rebuilds).  Defaults
-        to the serial :func:`~repro.core.tarjan.tarjan_scc`; the engine
-        passes its warm Method-2 pipeline here so rebuilds on large
-        graphs run at pipeline speed.
+        ``graph -> labels`` callable used for from-scratch recomputes:
+        the initial labels when none are given, and the induced
+        subgraph of a broken component the peel-off certificate cannot
+        settle.  Defaults to the paper's Method-2 pipeline;
+        :meth:`verify` keeps serial Tarjan as its independent oracle.
     """
 
     def __init__(
@@ -225,15 +209,11 @@ class DynamicSCC:
         delta: DeltaCSR,
         labels: Optional[np.ndarray] = None,
         *,
-        damage_threshold: float = DEFAULT_DAMAGE_THRESHOLD,
         recompute=None,
     ) -> None:
-        if not (0 < damage_threshold <= 1):
-            raise ValueError("damage_threshold must be in (0, 1]")
         self._delta = delta
-        self.damage_threshold = float(damage_threshold)
         self._recompute = (
-            recompute if recompute is not None else tarjan_scc
+            recompute if recompute is not None else _method2_labels
         )
         self.stats = DynamicStats()
         n = delta.num_nodes
@@ -246,19 +226,19 @@ class DynamicSCC:
             )
         self._labels = rep_labels(labels)
         self._members = _group_members(self._labels)
-        # pseudo-topological level per cid (dict: the cascade loops
-        # read it once per visited condensation edge).
-        self._level: Dict[int, int] = {}
         # condensation DAG keyed by stable cid, both directions:
         # cid -> {neighbor cid: number of graph edges between them},
-        # with the rep <-> cid maps alongside.
-        self._csucc: Dict[int, Dict[int, int]] = {}
-        self._cpred: Dict[int, Dict[int, int]] = {}
-        self._cid_of: Dict[int, int] = {}
-        self._rep_of: Dict[int, int] = {}
-        self._cid_next = 0
-        self._rebuild_condensation()
-        self._rebuild_levels()
+        # with the rep <-> cid maps alongside.  Every cid starts as its
+        # component's representative.
+        self._csucc, self._cpred = self._recount_condensation()
+        self._cid_of: Dict[int, int] = {r: r for r in self._members}
+        self._rep_of: Dict[int, int] = dict(self._cid_of)
+        self._cid_next = n
+        # pseudo-topological level per cid (dict: the cascade loops
+        # read it once per visited condensation edge).
+        self._level: Dict[int, int] = _longest_path_levels(
+            *delta.edge_array(), self._labels
+        )
 
     # ------------------------------------------------------------------
     # Read access
@@ -292,47 +272,6 @@ class DynamicSCC:
     # ------------------------------------------------------------------
     # Level index
     # ------------------------------------------------------------------
-    def _rebuild_levels(self) -> None:
-        """Longest-path (Kahn wave) levels of the whole condensation."""
-        labels = self._labels
-        reps = sorted_unique(labels)
-        k = reps.shape[0]
-        src, dst = self._delta.edge_array()
-        ls, ld = labels[src], labels[dst]
-        mask = ls != ld
-        cs = np.searchsorted(reps, ls[mask])
-        cd = np.searchsorted(reps, ld[mask])
-        if cs.size:
-            key = sorted_unique(cs * np.int64(k) + cd)
-            cs, cd = key // k, key % k
-        counts = np.bincount(cs, minlength=k).astype(np.int64)
-        cindptr = np.r_[0, np.cumsum(counts)]
-        indeg = np.bincount(cd, minlength=k).astype(np.int64)
-        level = np.zeros(k, dtype=np.int64)
-        frontier = np.flatnonzero(indeg == 0)
-        while frontier.size:
-            fcounts = counts[frontier]
-            total = int(fcounts.sum())
-            if total == 0:
-                break
-            starts = cindptr[frontier]
-            cum = np.cumsum(fcounts)
-            idx = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - (cum - fcounts), fcounts
-            )
-            targets = cd[idx]
-            np.maximum.at(
-                level, targets, np.repeat(level[frontier], fcounts) + 1
-            )
-            dec = np.bincount(targets, minlength=k)
-            indeg -= dec
-            frontier = np.flatnonzero((indeg == 0) & (dec > 0))
-        cid_of = self._cid_of
-        self._level = {
-            cid_of[r]: l
-            for r, l in zip(reps.tolist(), level.tolist())
-        }
-
     def _successors(self, cid: int):
         """Condensation out-neighbor cids of component ``cid``."""
         return self._csucc.get(cid, _NO_NEIGHBORS)
@@ -361,14 +300,6 @@ class DynamicSCC:
             succ.setdefault(a, {})[b] = c
             pred.setdefault(b, {})[a] = c
         return succ, pred
-
-    def _rebuild_condensation(self) -> None:
-        """Recount the whole condensation DAG and reset every cid to
-        its component's representative label."""
-        self._csucc, self._cpred = self._recount_condensation()
-        self._cid_of = {r: r for r in self._members}
-        self._rep_of = dict(self._cid_of)
-        self._cid_next = int(self._labels.shape[0])
 
     def _cshift(self, a: int, b: int, k: int) -> None:
         """``k`` more (negative: fewer) graph edges between components
@@ -614,11 +545,6 @@ class DynamicSCC:
             # lost edge and the partition stands.
             self.stats.intact_deletes += 1
             return False
-        size = self._members[lu].size
-        if size > self.damage_threshold * self._labels.shape[0]:
-            self.stats.rebuilds += 1
-            self.rebuild()
-            return True
         self._split(lu, u, v, *probe)
         return True
 
@@ -662,17 +588,6 @@ class DynamicSCC:
                 )
             out.append((u, v))
         return out
-
-    def rebuild(self) -> None:
-        """Recompute every label and level from the merged snapshot."""
-        self._labels = rep_labels(
-            np.asarray(
-                self._recompute(self._delta.snapshot()), dtype=np.int64
-            )
-        )
-        self._members = _group_members(self._labels)
-        self._rebuild_condensation()
-        self._rebuild_levels()
 
     # ------------------------------------------------------------------
     # Delete internals
@@ -736,8 +651,8 @@ class DynamicSCC:
         in-neighbors and the check walks backward from ``v``; backward
         from ``v`` it is the mirror image.  When the walk covers the
         boundary the split is the flood plus the remainder, ranked by
-        the one direction their edges run in; otherwise FW-BW peels
-        the component's induced subgraph."""
+        the one direction their edges run in; otherwise the
+        ``recompute`` hook labels the component's induced subgraph."""
         members = self._members[rep]
         inside = in_flood[members]
         flood = members[inside]
@@ -757,8 +672,8 @@ class DynamicSCC:
             self.stats.peeled_splits += 1
         else:
             sub, mapping = delta.induced_subgraph(members)
-            sublabels = _peel_scc(sub)
-            ranks = _condensation_ranks(sub, sublabels)
+            sublabels = rep_labels(self._recompute(sub))
+            ranks = _longest_path_levels(*sub.edge_array(), sublabels)
             parts = [
                 (int(mapping[r]), mapping[part], ranks[r])
                 for r, part in _group_members(sublabels).items()
@@ -926,65 +841,15 @@ class DynamicSCC:
                     )
 
 
-def _peel_scc(sub: CSRGraph) -> np.ndarray:
-    """SCC labels of ``sub`` by multi-source FW-BW peeling.
-
-    Partitions are processed as colour-confined waves — up to
-    :data:`~repro.kernels.MS_MAX_WAVES` per
-    :func:`~repro.core.recurfwbw.multi_source_reach` sweep, pivots
-    pinned to the minimum node id for determinism.  Each wave's FW∧BW
-    intersection is one SCC (labelled by its minimum member); the
-    FW-only / BW-only / unreached residues become fresh partitions
-    until everything is labelled.  Returns min-member labels.
-    """
-    n = sub.num_nodes
-    labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return labels
-    color = np.zeros(n, dtype=np.int64)
-    next_color = 1
-    parts: deque = deque([(0, np.arange(n, dtype=np.int64))])
-    indptr, indices = sub.indptr, sub.indices
-    in_indptr, in_indices = sub.in_indptr, sub.in_indices
-    while parts:
-        live: List[Tuple[int, np.ndarray]] = []
-        while parts and len(live) < MS_MAX_WAVES:
-            c, nodes = parts.popleft()
-            if nodes.size == 1:
-                labels[nodes[0]] = nodes[0]
-            else:
-                live.append((c, nodes))
-        if not live:
-            continue
-        colors = np.array([c for c, _ in live], dtype=np.int64)
-        pivots = np.array([int(nodes[0]) for _, nodes in live], dtype=np.int64)
-        bits, fw, bw = multi_source_reach(
-            indptr, indices, in_indptr, in_indices, color, colors, pivots
-        )
-        for k, (c, nodes) in enumerate(live):
-            cat = ms_fwbw_intersect(
-                nodes, np.repeat(bits[k], nodes.size), fw, bw
-            )
-            scc = nodes[cat == MS_SCC]
-            labels[scc] = scc[0]
-            for chunk_cat in (MS_FW_ONLY, MS_BW_ONLY, MS_UNREACHED):
-                chunk = nodes[cat == chunk_cat]
-                if chunk.size:
-                    color[chunk] = next_color
-                    parts.append((next_color, chunk))
-                    next_color += 1
-    return labels
-
-
-def _condensation_ranks(
-    sub: CSRGraph, sublabels: np.ndarray
+def _longest_path_levels(
+    src: np.ndarray, dst: np.ndarray, labels: np.ndarray
 ) -> Dict[int, int]:
-    """Longest-path rank of every component of ``sub``'s condensation
-    (0 for sources), keyed by representative label."""
-    reps = sorted_unique(sublabels)
+    """Longest-path (Kahn wave) level of every component in the
+    condensation of the edges ``src -> dst`` under ``labels`` (0 for
+    sources), keyed by representative label."""
+    reps = sorted_unique(labels)
     k = reps.shape[0]
-    src, dst = sub.edge_array()
-    ls, ld = sublabels[src], sublabels[dst]
+    ls, ld = labels[src], labels[dst]
     mask = ls != ld
     cs = np.searchsorted(reps, ls[mask])
     cd = np.searchsorted(reps, ld[mask])
@@ -994,7 +859,7 @@ def _condensation_ranks(
     counts = np.bincount(cs, minlength=k).astype(np.int64)
     cindptr = np.r_[0, np.cumsum(counts)]
     indeg = np.bincount(cd, minlength=k).astype(np.int64)
-    rank = np.zeros(k, dtype=np.int64)
+    level = np.zeros(k, dtype=np.int64)
     frontier = np.flatnonzero(indeg == 0)
     while frontier.size:
         fcounts = counts[frontier]
@@ -1008,9 +873,9 @@ def _condensation_ranks(
         )
         targets = cd[idx]
         np.maximum.at(
-            rank, targets, np.repeat(rank[frontier], fcounts) + 1
+            level, targets, np.repeat(level[frontier], fcounts) + 1
         )
         dec = np.bincount(targets, minlength=k)
         indeg -= dec
         frontier = np.flatnonzero((indeg == 0) & (dec > 0))
-    return {int(reps[i]): int(rank[i]) for i in range(k)}
+    return dict(zip(reps.tolist(), level.tolist()))

@@ -190,19 +190,6 @@ def _lifecycle_plan(
     return [wrap(i, ph) for i, ph in enumerate(plan)]
 
 
-def _method2_labels(g: CSRGraph) -> np.ndarray:
-    """From-scratch labels via the paper's Method-2 pipeline.
-
-    The recompute hook handed to :class:`~repro.engine.dynamic.
-    DynamicSCC` — the partition is unique, so any correct method works,
-    and the pipeline beats the serial Tarjan fallback on the large
-    graphs where rebuilds actually hurt.
-    """
-    from ..core.api import strongly_connected_components
-
-    return strongly_connected_components(g, "method2").labels
-
-
 @dataclass
 class UpdateReport:
     """What one :meth:`Engine.update` batch did to a mutable session.
@@ -265,6 +252,11 @@ class Engine:
         colours) is sealed after and verified before every phase.  A
         mismatch raises :class:`~repro.errors.IntegrityError` (exit
         20); the serving layer answers it with :meth:`quarantine`.
+    compact_ratio:
+        Delta-log size, as a fraction of the base edge count, past
+        which a mutable session's overlay folds into a fresh base CSR
+        (None = :data:`repro.graph.delta.DEFAULT_COMPACT_RATIO`).  Fixed
+        when :meth:`update` promotes a session.
     """
 
     def __init__(
@@ -276,16 +268,20 @@ class Engine:
         canonical: bool = True,
         max_sessions: int = 8,
         integrity: bool = False,
+        compact_ratio: float | None = None,
     ) -> None:
         get_executor(backend)  # validate eagerly
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
+        if compact_ratio is not None and not compact_ratio > 0:
+            raise ValueError("compact_ratio must be positive")
         self.backend = backend
         self.num_workers = num_workers
         self.cost = cost
         self.canonical = canonical
         self.max_sessions = max_sessions
         self.integrity = integrity
+        self.compact_ratio = compact_ratio
         self.quarantines = 0
         self._sessions: "OrderedDict[int, GraphSession]" = OrderedDict()
         self._by_source: Dict[tuple, int] = {}
@@ -991,17 +987,15 @@ class Engine:
         target: Union[str, CSRGraph, GraphSession],
         inserts: Sequence[Tuple[int, int]] = (),
         deletes: Sequence[Tuple[int, int]] = (),
-        *,
-        compact_ratio: float | None = None,
-        damage_threshold: float | None = None,
     ) -> UpdateReport:
         """Apply a batch of edge updates to a (mutable) session.
 
         ``target`` is a graph, a session, or a loadable source name
         (resolved through :meth:`load`).  The first update against a
         session *promotes* it: one full detection seeds the labels,
-        the graph gains a :class:`~repro.graph.delta.DeltaCSR` overlay,
-        and a :class:`~repro.engine.dynamic.DynamicSCC` maintainer
+        the graph gains a :class:`~repro.graph.delta.DeltaCSR` overlay
+        (compacting at the engine's ``compact_ratio``), and a
+        :class:`~repro.engine.dynamic.DynamicSCC` maintainer
         takes over — subsequent batches touch only the affected
         region.  Inserts apply before deletes; both are idempotent
         (inserting a present edge / deleting an absent one is a no-op),
@@ -1022,26 +1016,15 @@ class Engine:
             session = self.session(target)
         session.verify_integrity(context="update:borrow")
         if session.dynamic is None:
-            from .dynamic import DEFAULT_DAMAGE_THRESHOLD, DynamicSCC
+            from .dynamic import DynamicSCC
 
             base = self.run(session, canonical=False)
-            delta = session.make_mutable(compact_ratio=compact_ratio)
-            session.dynamic = DynamicSCC(
-                delta,
-                base.labels,
-                damage_threshold=(
-                    damage_threshold
-                    if damage_threshold is not None
-                    else DEFAULT_DAMAGE_THRESHOLD
-                ),
-                recompute=_method2_labels,
-            )
+            delta = session.make_mutable(compact_ratio=self.compact_ratio)
+            session.dynamic = DynamicSCC(delta, base.labels)
             # the sidecars sealed the frozen base; switch them to the
             # delta state the mutable session now exposes.
             session.reseal_integrity()
         dyn = session.dynamic
-        if damage_threshold is not None:
-            dyn.damage_threshold = float(damage_threshold)
         before = session.delta.mutations
         i0, d0 = dyn.stats.inserts, dyn.stats.deletes
         changed = dyn.apply(inserts, deletes)

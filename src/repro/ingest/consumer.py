@@ -67,18 +67,9 @@ class EngineApplier:
     ``ok=False`` shed responses instead of exceptions.
     """
 
-    def __init__(
-        self,
-        engine,
-        target,
-        *,
-        compact_ratio: Optional[float] = None,
-        damage_threshold: Optional[float] = None,
-    ) -> None:
+    def __init__(self, engine, target) -> None:
         self.engine = engine
         self.target = target
-        self.compact_ratio = compact_ratio
-        self.damage_threshold = damage_threshold
 
     def _response(self, report) -> dict:
         return {
@@ -106,11 +97,7 @@ class EngineApplier:
     ) -> dict:
         try:
             report = self.engine.update(
-                self.target,
-                inserts=inserts,
-                deletes=deletes,
-                compact_ratio=self.compact_ratio,
-                damage_threshold=self.damage_threshold,
+                self.target, inserts=inserts, deletes=deletes
             )
         except ReproError as exc:
             return self._refused(exc)

@@ -105,8 +105,8 @@ OP_KEYS = {
         "options nodes edges fault_plan certify".split()
     ),
     "update": frozenset(
-        "op id graph scale on_error inserts deletes compact compact_ratio "
-        "damage_threshold nodes edges".split()
+        "op id graph scale on_error inserts deletes compact nodes "
+        "edges".split()
     ),
     "analysis": frozenset(
         "op id graph scale on_error kind samples seed".split()
@@ -159,9 +159,6 @@ class ServiceConfig:
     #: delta-log compaction ratio for mutable sessions (None = the
     #: graph layer's default, :data:`repro.graph.DEFAULT_COMPACT_RATIO`).
     compact_ratio: Optional[float] = None
-    #: component-size fraction past which an intra-SCC delete falls
-    #: back to a full rebuild (None = the engine's default).
-    damage_threshold: Optional[float] = None
 
     def shard(self) -> "ServiceConfig":
         """The per-worker slice of this config.
@@ -304,8 +301,6 @@ def _update(engine, session, request: dict, faults) -> dict:
             session,
             _edge_pairs(request.get("inserts"), "inserts"),
             _edge_pairs(request.get("deletes"), "deletes"),
-            compact_ratio=request.get("compact_ratio"),
-            damage_threshold=request.get("damage_threshold"),
         )
     return {
         "op": "update",
@@ -420,6 +415,7 @@ class EngineHost:
             canonical=cfg.canonical,
             max_sessions=cfg.max_sessions,
             integrity=cfg.checksums,
+            compact_ratio=cfg.compact_ratio,
         )
         self.governor = (
             MemoryGovernor(self.engine, cfg.governor, clock=clock)
@@ -787,13 +783,7 @@ class SCCService(EngineHost):
                 if op == "run":
                     response = self._attempts(request, seq, workers)
                 else:
-                    forward = dict(request)
-                    if op == "update":
-                        forward.setdefault("compact_ratio", cfg.compact_ratio)
-                        forward.setdefault(
-                            "damage_threshold", cfg.damage_threshold
-                        )
-                    response = self._route(forward, seq, 0, None)
+                    response = self._route(request, seq, 0, None)
             self.completed += 1
             if response.get("applied"):
                 self.updates_applied += 1
@@ -1188,6 +1178,36 @@ def _drain_signals(service: "SCCService", stop: threading.Event):
             signal.signal(sig, handler)
 
 
+class _Handlers:
+    """The request-handler threads a transport has started and that
+    are still running.  A finished handler drops out, so a long-lived
+    daemon holds only its in-flight threads; :meth:`join` waits for
+    those at drain."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._live: set = set()
+
+    def start(self, target) -> None:
+        def run() -> None:
+            try:
+                target()
+            finally:
+                with self._lock:
+                    self._live.discard(threading.current_thread())
+
+        t = threading.Thread(target=run)
+        with self._lock:
+            self._live.add(t)
+        t.start()
+
+    def join(self) -> None:
+        with self._lock:
+            live = list(self._live)
+        for t in live:
+            t.join()
+
+
 def _respond(out_stream, lock: threading.Lock, response: dict) -> None:
     line = json.dumps(response, sort_keys=True)
     with lock:
@@ -1237,7 +1257,7 @@ def serve_stdin(
     threading.Thread(target=_read, daemon=True).start()
     stop = threading.Event()
     out_lock = threading.Lock()
-    workers: list = []
+    handlers = _Handlers()
     dispatched = 0
     with _drain_signals(service, stop):
         eof = False
@@ -1268,13 +1288,11 @@ def serve_stdin(
                     stop.set()
                     break
                 continue
-            t = threading.Thread(
-                target=lambda r=request: _respond(
+            handlers.start(
+                lambda r=request: _respond(
                     out_stream, out_lock, service.handle(r)
                 )
             )
-            t.start()
-            workers.append(t)
             dispatched += 1
             if max_requests is not None and dispatched >= max_requests:
                 break
@@ -1288,9 +1306,7 @@ def serve_stdin(
         # none go unanswered.
         if stop.is_set():
             service.drain()
-        for t in workers:
-            t.join()
-        workers.clear()
+        handlers.join()
         service.drain()
         while True:
             try:
@@ -1372,7 +1388,7 @@ def serve_socket(
     except FileNotFoundError:
         pass
     stop = threading.Event()
-    workers: list = []
+    handlers = _Handlers()
     handled = 0
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
         server.bind(path)
@@ -1443,12 +1459,9 @@ def serve_socket(
                             # journal record) already completed.
                             service.note_transport_error()
 
-                t = threading.Thread(target=_serve_conn)
-                t.start()
-                workers.append(t)
+                handlers.start(_serve_conn)
             service.drain()
-            for t in workers:
-                t.join()
+            handlers.join()
             if report_path is not None:
                 service.write_report(report_path)
     try:

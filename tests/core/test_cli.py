@@ -71,6 +71,56 @@ class TestScc:
             )
 
 
+class TestMutableSessionFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve"], ["stream", "wiki", "--source", "tail-once:feed"]],
+        ids=["serve", "stream"],
+    )
+    def test_retired_damage_threshold_flag_exits_2(self, capsys, argv):
+        # a broken component has one split path: no flag picks another
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--damage-threshold", "0.5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --damage-threshold" in (
+            capsys.readouterr().err
+        )
+
+    def test_connect_refuses_compact_ratio(self, capsys, tmp_path):
+        # the daemon fixes the ratio when it promotes the session, so
+        # the consumer's own value would be silently ignored.
+        code = main([
+            "stream", "wiki", "--source", f"tail-once:{tmp_path / 'feed'}",
+            "--connect", str(tmp_path / "daemon.sock"),
+            "--compact-ratio", "0.1",
+        ])
+        assert code == 2
+        assert "repro serve --compact-ratio" in capsys.readouterr().err
+
+    def test_in_process_compact_ratio_reaches_the_engine(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.ingest.consumer import EngineApplier
+
+        compacted = []
+        respond = EngineApplier._response
+
+        def spy(self, report):
+            compacted.append(report.compacted)
+            return respond(self, report)
+
+        monkeypatch.setattr(EngineApplier, "_response", spy)
+        feed = tmp_path / "feed"
+        feed.write_text("+ 1 2\n+ 2 1\n+ 3 4\n+ 4 3\n")
+        code = main([
+            "stream", "wiki", "--scale", "0.02",
+            "--source", f"tail-once:{feed}", "--batch-edges", "2",
+            "--compact-ratio", "1e-9",
+        ])
+        assert code == 0
+        assert compacted == [True, True]
+
+
 class TestSweep:
     def test_panel_printed(self, capsys):
         code, out = run_cli(

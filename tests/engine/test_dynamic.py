@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.tarjan import tarjan_scc
-from repro.engine import dynamic
-from repro.engine.dynamic import (
-    DEFAULT_DAMAGE_THRESHOLD,
-    DynamicSCC,
-    rep_labels,
-)
+from repro.engine.dynamic import DynamicSCC, rep_labels
 from repro.graph import from_edge_array
 from repro.graph.delta import DeltaCSR
 from tests.conftest import random_digraph
@@ -107,9 +102,9 @@ class TestDeleteTaxonomy:
         dyn.verify()
 
     def test_cycle_break_splits_into_singletons(self):
-        # threshold 1.0 keeps the restricted split path even though
-        # the broken component spans the whole graph.
-        dyn = make_dyn([(0, 1), (1, 2), (2, 0)], 3, damage_threshold=1.0)
+        # the broken component spans the whole graph and still splits
+        # in place.
+        dyn = make_dyn([(0, 1), (1, 2), (2, 0)], 3)
         assert dyn.delete(2, 0)
         assert dyn.stats.splits == 1
         assert dyn.stats.split_components == 3
@@ -123,7 +118,6 @@ class TestDeleteTaxonomy:
         dyn = make_dyn(
             [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 0)],
             4,
-            damage_threshold=1.0,
         )
         assert dyn.num_components == 1
         assert dyn.delete(3, 0)
@@ -139,14 +133,32 @@ class TestDeleteTaxonomy:
         assert dyn.stats.intact_deletes == 1
         dyn.verify()
 
-    def test_damage_threshold_triggers_rebuild(self):
-        dyn = make_dyn(
-            [(0, 1), (1, 2), (2, 0)], 3, damage_threshold=0.5
-        )
-        # the broken component is the whole graph (> 50% of nodes)
-        assert dyn.delete(2, 0)
-        assert dyn.stats.rebuilds == 1
-        assert dyn.stats.splits == 0
+    def test_giant_split_recomputes_only_its_component(self):
+        # {0..4} holds 5 of 7 nodes; deleting 4 -> 0 drops {4} off,
+        # and the remainder 0<->1 -> 2<->3 falls apart too, so the
+        # peel-off certificate fails and the recompute hook runs —
+        # on the broken component's induced subgraph, not the graph.
+        edges = [
+            (0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 4), (4, 0),
+            (5, 0), (4, 6),
+        ]
+        seen = []
+
+        def hook(g):
+            seen.append((g.num_nodes, sorted(zip(*g.edge_array()))))
+            return tarjan_scc(g)
+
+        dyn = make_dyn(edges, 7, recompute=hook)
+        assert dyn.members(0).size == 5
+        seen.clear()
+        assert dyn.delete(4, 0)
+        assert seen == [
+            (5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)])
+        ]
+        assert dyn.stats.splits == 1
+        assert dyn.stats.peeled_splits == 0
+        assert dyn.labels.tolist() == [0, 0, 2, 2, 4, 5, 6]
+        assert_levels_hold(dyn)
         dyn.verify()
 
 
@@ -161,7 +173,6 @@ class TestPeelOff:
         dyn = make_dyn(
             [(0, 1), (1, 0), (1, 2), (2, 0), (1, 3), (3, 0)],
             4,
-            damage_threshold=1.0,
         )
         assert dyn.delete(3, 0)
         assert dyn.labels.tolist() == [0, 0, 0, 3]
@@ -178,7 +189,6 @@ class TestPeelOff:
         dyn = make_dyn(
             [(0, 1), (0, 2), (1, 0), (2, 0), (0, 3), (3, 1)],
             4,
-            damage_threshold=1.0,
         )
         assert dyn.delete(0, 3)
         assert dyn.labels.tolist() == [0, 0, 0, 3]
@@ -194,7 +204,6 @@ class TestPeelOff:
         dyn = make_dyn(
             [(1, 2), (2, 3), (3, 1), (1, 0), (0, 2)],
             4,
-            damage_threshold=1.0,
         )
         cid = dyn._cid_of[0]
         assert dyn.delete(0, 2)
@@ -212,7 +221,6 @@ class TestPeelOff:
         dyn = make_dyn(
             [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 4), (4, 0)],
             5,
-            damage_threshold=1.0,
         )
         assert dyn.delete(4, 0)
         assert dyn.stats.splits == 1
@@ -226,7 +234,7 @@ class TestPeelOff:
     def test_satellite_peels_without_fwbw(self, monkeypatch):
         # a 200-node ring with chords, plus satellite 200 hanging off it
         # by one edge each way: cutting 200 -> 0 must not extract the
-        # giant's induced subgraph or run FW-BW over it.
+        # giant's induced subgraph or recompute it.
         rng = np.random.default_rng(7)
         n = 200
         edges = [(i, (i + 1) % n) for i in range(n)]
@@ -234,15 +242,21 @@ class TestPeelOff:
             (int(a), int(b)) for a, b in rng.integers(0, n, (400, 2))
         ]
         edges += [(200, 0), (57, 200)]
-        dyn = make_dyn(sorted(set(edges)), n + 1, damage_threshold=1.0)
+        recomputes = []
+
+        def hook(g):
+            recomputes.append(g.num_nodes)
+            return tarjan_scc(g)
+
+        dyn = make_dyn(sorted(set(edges)), n + 1, recompute=hook)
         assert dyn.num_components == 1
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the peel-off ran the FW-BW fallback")
+            raise AssertionError("the peel-off extracted the subgraph")
 
         monkeypatch.setattr(DeltaCSR, "induced_subgraph", refuse)
-        monkeypatch.setattr(dynamic, "_peel_scc", refuse)
         assert dyn.delete(200, 0)
+        assert recomputes == [n + 1]  # the initial labels only
         assert dyn.stats.peeled_splits == 1
         assert dyn.members(0).size == n
         assert dyn.labels[200] == 200
@@ -251,22 +265,43 @@ class TestPeelOff:
 
 
 class TestRecomputeHook:
-    def test_custom_recompute_used_for_init_and_rebuild(self):
+    def test_custom_recompute_used_for_init_and_fallback_split(self):
         calls = []
 
         def counting(g):
             calls.append(g.num_nodes)
             return tarjan_scc(g)
 
+        # the broken-remainder shape of TestPeelOff plus an outside
+        # node 5: the fallback split recomputes the component only.
         dyn = make_dyn(
-            [(0, 1), (1, 2), (2, 0)],
-            3,
-            damage_threshold=0.01,
+            [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 4), (4, 0),
+             (4, 5)],
+            6,
             recompute=counting,
         )
-        assert len(calls) == 1  # initial labels
-        dyn.delete(2, 0)  # any split exceeds the tiny threshold
-        assert len(calls) == 2  # rebuild
+        assert calls == [6]  # initial labels
+        assert dyn.delete(4, 0)
+        assert calls == [6, 5]  # the broken component's subgraph
+        assert dyn.stats.peeled_splits == 0
+        dyn.verify()
+
+    def test_default_recompute_is_method2(self, monkeypatch):
+        import repro.core.api as api
+
+        methods = []
+        real = api.strongly_connected_components
+
+        def spy(g, method="method2", **kwargs):
+            methods.append(method)
+            return real(g, method, **kwargs)
+
+        monkeypatch.setattr(api, "strongly_connected_components", spy)
+        dyn = make_dyn(
+            [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 4), (4, 0)], 5
+        )
+        assert dyn.delete(4, 0)
+        assert methods == ["method2", "method2"]
         dyn.verify()
 
     def test_explicit_labels_skip_recompute(self):
@@ -278,8 +313,6 @@ class TestRecomputeHook:
         assert dyn.labels.tolist() == [0, 0, 2]
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            make_dyn([(0, 1)], 2, damage_threshold=0.0)
         g = from_edge_array(
             np.array([0], dtype=np.int64), np.array([1], dtype=np.int64), 2
         )
@@ -309,16 +342,11 @@ class TestFuzzStream:
         """Random pairs mostly miss the graph on delete; the
         ``live_deletes`` input deletes live edges instead, so half its
         updates land and components keep splitting in place (through
-        both the peel-off certificate and the FW-BW fallback)."""
+        both the peel-off certificate and the recompute fallback)."""
         n = 30
         base = random_digraph(n, 60, seed=seed)
         delta = DeltaCSR(base, compact_ratio=10.0)
-        dyn = DynamicSCC(
-            delta,
-            damage_threshold=(
-                1.0 if live_deletes else DEFAULT_DAMAGE_THRESHOLD
-            ),
-        )
+        dyn = DynamicSCC(delta)
         rng = np.random.default_rng(seed + 1000)
         for step in range(200):
             u = int(rng.integers(0, n))
@@ -370,6 +398,3 @@ class TestFuzzStream:
             b.delete(*e)
         assert np.array_equal(a.labels, b.labels)
         a.verify()
-
-    def test_default_damage_threshold_exported(self):
-        assert 0 < DEFAULT_DAMAGE_THRESHOLD <= 1

@@ -66,6 +66,12 @@ class TestValidation:
         finally:
             svc.close()
 
+    def test_non_positive_compact_ratio_refused_at_start(self):
+        # refused when the service starts, not by every later update
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="compact_ratio"):
+                in_process_service(compact_ratio=bad)
+
     def test_graph_required(self):
         svc = in_process_service()
         try:
@@ -209,9 +215,7 @@ class TestUpdateSemantics:
             svc.close()
 
     def test_config_knobs_reach_the_engine(self):
-        svc = in_process_service(
-            compact_ratio=1e-9, damage_threshold=1.0
-        )
+        svc = in_process_service(compact_ratio=1e-9)
         try:
             resp = svc.handle(
                 update_request(inserts=[(1, 2), (2, 1)])
@@ -220,24 +224,39 @@ class TestUpdateSemantics:
             # a vanishing compact ratio forces compaction every batch
             assert resp["compacted"]
             session = svc.engine.load(GRAPH, scale=SCALE, seed=None)
-            assert session.dynamic.damage_threshold == 1.0
+            assert session.delta.log_size == 0
+            # ... not only the one that promoted the session
+            again = svc.handle(update_request(inserts=[(3, 4)]))
+            assert again["ok"] and again["applied"]
+            assert again["compacted"]
             assert session.delta.log_size == 0
         finally:
             svc.close()
 
-    def test_per_request_knob_overrides_config(self):
-        svc = in_process_service()
+    def test_per_request_knobs_refused(self, tmp_path):
+        """The compact ratio is the service's (fixed when a session
+        turns mutable), and a broken component has one split path: a
+        request naming either knob is refused before admission."""
+        journal = tmp_path / "requests.ndjson"
+        svc = in_process_service(journal_path=str(journal))
         try:
-            resp = svc.handle(
-                update_request(
-                    inserts=[(3, 4)], damage_threshold=0.25
+            for key, value in (
+                ("compact_ratio", 1e-9),
+                ("damage_threshold", 1.0),
+            ):
+                resp = svc.handle(
+                    update_request(inserts=[(3, 4)], **{key: value})
                 )
-            )
-            assert resp["ok"]
+                assert not resp["ok"]
+                assert resp["error_type"] == "ValueError"
+                assert not resp["transient"]
+                assert key in resp["error"]
             session = svc.engine.load(GRAPH, scale=SCALE, seed=None)
-            assert session.dynamic.damage_threshold == 0.25
+            assert session.dynamic is None
         finally:
+            svc.drain()
             svc.close()
+        assert scan_journal(journal).accepted == 0
 
 
 class TestMutableSessionIntegrity:
