@@ -986,51 +986,57 @@ def _cmd_serve(args) -> int:
         except ValueError as exc:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
-    governor = None
-    if args.soft_limit_mb is not None or args.hard_limit_mb is not None:
-        governor = GovernorConfig(
-            soft_limit_bytes=(
-                int(args.soft_limit_mb * 1e6)
-                if args.soft_limit_mb is not None
-                else None
+    try:
+        governor = None
+        if args.soft_limit_mb is not None or args.hard_limit_mb is not None:
+            governor = GovernorConfig(
+                soft_limit_bytes=(
+                    int(args.soft_limit_mb * 1e6)
+                    if args.soft_limit_mb is not None
+                    else None
+                ),
+                hard_limit_bytes=(
+                    int(args.hard_limit_mb * 1e6)
+                    if args.hard_limit_mb is not None
+                    else None
+                ),
+                min_sessions=1,
+            )
+        config = ServiceConfig(
+            backend=args.backend,
+            workers=args.backend_workers,
+            max_sessions=args.max_sessions,
+            worker_processes=args.workers,
+            heartbeat_interval=args.heartbeat_interval,
+            max_worker_restarts=args.max_worker_restarts,
+            journal_path=args.journal,
+            admission=AdmissionConfig(
+                max_queue=args.max_queue,
+                memory_budget_bytes=(
+                    int(args.memory_budget_mb * 1e6)
+                    if args.memory_budget_mb is not None
+                    else None
+                ),
             ),
-            hard_limit_bytes=(
-                int(args.hard_limit_mb * 1e6)
-                if args.hard_limit_mb is not None
-                else None
+            retry=RetryPolicy(
+                max_attempts=args.retries, backoff_base=args.backoff
             ),
-            min_sessions=1,
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown=args.breaker_cooldown,
+            governor=governor,
+            default_deadline=args.request_timeout,
+            checksums=not args.no_checksums,
+            on_corruption=args.on_corruption,
+            audit_rate=args.audit_rate,
+            audit_seed=args.audit_seed,
+            compact_ratio=args.compact_ratio,
         )
-    config = ServiceConfig(
-        backend=args.backend,
-        workers=args.backend_workers,
-        max_sessions=args.max_sessions,
-        worker_processes=args.workers,
-        heartbeat_interval=args.heartbeat_interval,
-        max_worker_restarts=args.max_worker_restarts,
-        journal_path=args.journal,
-        admission=AdmissionConfig(
-            max_queue=args.max_queue,
-            memory_budget_bytes=(
-                int(args.memory_budget_mb * 1e6)
-                if args.memory_budget_mb is not None
-                else None
-            ),
-        ),
-        retry=RetryPolicy(
-            max_attempts=args.retries, backoff_base=args.backoff
-        ),
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        governor=governor,
-        default_deadline=args.request_timeout,
-        checksums=not args.no_checksums,
-        on_corruption=args.on_corruption,
-        audit_rate=args.audit_rate,
-        audit_seed=args.audit_seed,
-        compact_ratio=args.compact_ratio,
-    )
-    with SCCService(config, fault_plan=fault_plan) as service:
+        service = SCCService(config, fault_plan=fault_plan)
+    except ValueError as exc:
+        # a bad flag value (--max-sessions 0, --compact-ratio 0, ...)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with service:
         if args.preload:
             for source in args.preload.split(","):
                 source = source.strip()
@@ -1143,38 +1149,49 @@ def _cmd_stream(args) -> int:
         # only override the transport's own watchdog default when the
         # operator asked for one.
         source_kwargs["stall_timeout"] = args.stall_timeout
-    source = open_source(args.source, **source_kwargs)
     engine = None
-    if args.connect:
-        applier = _DaemonApplier(
-            args.connect, args.graph, args.scale, args.on_error
-        )
-    else:
+    if not args.connect:
         from .engine import Engine
 
-        engine = Engine(backend="serial", compact_ratio=args.compact_ratio)
-        target = args.graph
-        if args.scale is not None:
-            # resolve the surrogate once so every batch hits the same
-            # warm session.
-            target = engine.load(args.graph, scale=args.scale)
-        applier = EngineApplier(engine, target)
-    consumer = StreamConsumer(
-        source,
-        applier,
-        on_error=args.on_error,
-        dedup_window=args.dedup_window,
-        checkpoint=(
-            StreamCheckpoint(args.checkpoint)
-            if args.checkpoint
-            else None
-        ),
-        batch_edges=args.batch_edges,
-        batch_age=args.batch_age,
-        degrade_log_ratio=args.degrade_log_ratio,
-        max_batches=args.max_batches,
-    )
+        try:
+            engine = Engine(
+                backend="serial", compact_ratio=args.compact_ratio
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    source = open_source(args.source, **source_kwargs)
     try:
+        if engine is None:
+            applier = _DaemonApplier(
+                args.connect, args.graph, args.scale, args.on_error
+            )
+        else:
+            target = args.graph
+            if args.scale is not None:
+                # resolve the surrogate once so every batch hits the
+                # same warm session.
+                target = engine.load(args.graph, scale=args.scale)
+            applier = EngineApplier(engine, target)
+        try:
+            consumer = StreamConsumer(
+                source,
+                applier,
+                on_error=args.on_error,
+                dedup_window=args.dedup_window,
+                checkpoint=(
+                    StreamCheckpoint(args.checkpoint)
+                    if args.checkpoint
+                    else None
+                ),
+                batch_edges=args.batch_edges,
+                batch_age=args.batch_age,
+                degrade_log_ratio=args.degrade_log_ratio,
+                max_batches=args.max_batches,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         stats = consumer.run()
     finally:
         source.close()

@@ -3,15 +3,15 @@
 Both paper pipelines are straight-line sequences of phases over one
 :class:`~repro.core.state.SCCState`.  Expressing them as a list of
 :class:`PhaseSpec` (instead of inline calls) gives
-:meth:`repro.engine.Engine.run` the boundaries it wraps: a deadline
-check, an integrity seal or a checkpoint (:mod:`repro.runtime.
-lifecycle`) can sit at any phase boundary, a resumed run re-enters at
-the first incomplete phase, and a per-phase timeout bounds exactly one
-phase.
+:meth:`repro.engine.Engine.run` the boundaries its phase loop works
+at: a deadline check, an integrity seal or a checkpoint
+(:mod:`repro.runtime.lifecycle`) can sit at any phase boundary, a
+resumed run re-enters at the first incomplete phase, and a per-phase
+timeout bounds exactly one phase.
 
 The plain runners (:func:`repro.core.method1.method1_scc`, ...) iterate
-the same plan with no checkpointing, so there is exactly one definition
-of each pipeline.
+the same plan through :func:`run_plan`, with none of those duties, so
+there is exactly one definition of each pipeline.
 
 Phases communicate through a ``ctx`` mapping.  The only cross-phase
 payload today is ``ctx["queue"]`` — the phase-2 work items, a list of
@@ -51,9 +51,10 @@ def run_plan(
     plan: Sequence[PhaseSpec],
     ctx: MutableMapping | None = None,
 ) -> MutableMapping:
-    """Execute ``plan`` in order with per-phase wall timers; the
-    engine's wrappers (deadline, integrity, checkpoints) ride inside
-    each phase's ``fn``.  Returns the final ``ctx``."""
+    """Execute ``plan`` in order with per-phase wall timers; returns
+    the final ``ctx``.  The plain runners' loop: the engine drives the
+    same plans through its own loop, which adds the run-level duties
+    (deadline, faults, integrity, checkpoints) at each boundary."""
     ctx = {} if ctx is None else ctx
     for ph in plan:
         with state.profile.wall_timer(ph.timer):

@@ -10,8 +10,8 @@ even when an edge exists between them.
 :class:`SCCState` adds the reproduction's bookkeeping on top: the
 output label array, per-node phase attribution (Figure 8), the work
 trace, the execution profile, and a seeded RNG for pivot selection.
-All mutating entry points take an internal (uncontended) lock, so a
-state stays consistent if it is ever shared across threads.
+A state belongs to one run on one thread: the supervised executor's
+workers mutate shared-memory mirrors of its arrays, never the object.
 
 Invariant maintained throughout: **a marked node's colour is
 ``DONE_COLOR`` (-1)**, which no active partition ever uses, so a
@@ -22,7 +22,6 @@ detached nodes without consulting ``mark``.
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -81,9 +80,9 @@ def skip_colour_triple(
     costs nothing in the normal pipelines.
 
     This is the one allocation sequence shared by both executors: the
-    serial driver calls it under the state lock
-    (:meth:`SCCState.alloc_colour_triple`), the supervisor's master
-    loop on its privately owned counter.
+    serial driver calls it through
+    :meth:`SCCState.alloc_colour_triple`, the supervisor's master loop
+    on its privately owned counter.
     """
     triple = []
     nxt = start
@@ -163,7 +162,6 @@ class SCCState:
         self.rng = np.random.default_rng(seed)
         self._next_color = 1
         self._num_sccs = 0
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -179,33 +177,30 @@ class SCCState:
         return self.profile.trace
 
     def new_color(self) -> int:
-        """Allocate a fresh partition colour (thread-safe)."""
-        with self._lock:
-            c = self._next_color
-            self._next_color += 1
-            return c
+        """Allocate a fresh partition colour."""
+        c = self._next_color
+        self._next_color += 1
+        return c
 
     def new_colors(self, count: int) -> np.ndarray:
-        """Allocate ``count`` consecutive colours (thread-safe)."""
-        with self._lock:
-            base = self._next_color
-            self._next_color += count
+        """Allocate ``count`` consecutive colours."""
+        base = self._next_color
+        self._next_color += count
         return np.arange(base, base + count, dtype=np.int64)
 
     def alloc_colour_triple(self, skip: int) -> tuple[int, int, int]:
         """Allocate a task's ``(cfw, cbw, cscc)`` triple, skipping
-        ``skip`` (thread-safe); see :func:`skip_colour_triple`."""
-        with self._lock:
-            triple, self._next_color = skip_colour_triple(
-                self._next_color, skip
-            )
+        ``skip``; see :func:`skip_colour_triple`."""
+        triple, self._next_color = skip_colour_triple(
+            self._next_color, skip
+        )
         return triple
 
     def alloc_colour_triples(
         self, skips: Iterable[int]
     ) -> list[tuple[int, int, int]]:
         """Allocate one ``(cfw, cbw, cscc)`` triple per entry of
-        ``skips`` under a single lock acquisition.
+        ``skips``.
 
         The triples come out of the same sequential
         :func:`skip_colour_triple` chain the per-task
@@ -215,26 +210,24 @@ class SCCState:
         the per-pivot one.
         """
         out: list[tuple[int, int, int]] = []
-        with self._lock:
-            nxt = self._next_color
-            for skip in skips:
-                triple, nxt = skip_colour_triple(nxt, skip)
-                out.append(triple)
-            self._next_color = nxt
+        nxt = self._next_color
+        for skip in skips:
+            triple, nxt = skip_colour_triple(nxt, skip)
+            out.append(triple)
+        self._next_color = nxt
         return out
 
     # ------------------------------------------------------------------
     def mark_scc(self, nodes: np.ndarray | Iterable[int], phase: int) -> int:
-        """Detach ``nodes`` as one SCC; returns its label (thread-safe)."""
+        """Detach ``nodes`` as one SCC; returns its label."""
         nodes = np.asarray(
             nodes if isinstance(nodes, np.ndarray) else list(nodes),
             dtype=np.int64,
         )
         if nodes.size == 0:
             raise ValueError("an SCC cannot be empty")
-        with self._lock:
-            sid = self._num_sccs
-            self._num_sccs += 1
+        sid = self._num_sccs
+        self._num_sccs += 1
         self.labels[nodes] = sid
         self.mark[nodes] = True
         self.color[nodes] = DONE_COLOR
@@ -249,8 +242,8 @@ class SCCState:
         ``nodes`` is the concatenation of the member arrays and
         ``sizes`` the per-SCC lengths (all positive).  SCC *i* of the
         batch receives label ``base + i`` — the ids *k* sequential
-        :meth:`mark_scc` calls would have handed out — with one lock
-        acquisition and one scatter per array instead of *k*.
+        :meth:`mark_scc` calls would have handed out — with one scatter
+        per array instead of *k*.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
@@ -263,9 +256,8 @@ class SCCState:
                 f"sizes sum to {int(sizes.sum())} but {nodes.size} "
                 f"nodes were given"
             )
-        with self._lock:
-            base = self._num_sccs
-            self._num_sccs += int(sizes.size)
+        base = self._num_sccs
+        self._num_sccs += int(sizes.size)
         self.labels[nodes] = np.repeat(
             np.arange(base, base + sizes.size, dtype=np.int64), sizes
         )
@@ -279,9 +271,8 @@ class SCCState:
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             return
-        with self._lock:
-            base = self._num_sccs
-            self._num_sccs += int(nodes.size)
+        base = self._num_sccs
+        self._num_sccs += int(nodes.size)
         self.labels[nodes] = np.arange(
             base, base + nodes.size, dtype=np.int64
         )
@@ -297,9 +288,8 @@ class SCCState:
             raise ValueError("pair arrays must have equal shape")
         if a.size == 0:
             return
-        with self._lock:
-            base = self._num_sccs
-            self._num_sccs += int(a.size)
+        base = self._num_sccs
+        self._num_sccs += int(a.size)
         ids = np.arange(base, base + a.size, dtype=np.int64)
         for arr in (a, b):
             self.labels[arr] = ids
@@ -309,27 +299,24 @@ class SCCState:
 
     def color_watermark(self) -> int:
         """The next colour value that would be allocated (no bump)."""
-        with self._lock:
-            return self._next_color
+        return self._next_color
 
     def sync_counters(self, num_sccs: int, next_color: int) -> None:
         """Adopt counter values produced by an external executor
         (the multiprocessing backend runs its own shared counters)."""
-        with self._lock:
-            if num_sccs < self._num_sccs or next_color < self._next_color:
-                raise ValueError("counters may only move forward")
-            self._num_sccs = num_sccs
-            self._next_color = next_color
+        if num_sccs < self._num_sccs or next_color < self._next_color:
+            raise ValueError("counters may only move forward")
+        self._num_sccs = num_sccs
+        self._next_color = next_color
 
     def pick(self, candidates: np.ndarray, strategy: str) -> int:
-        """Pivot selection through the state's seeded RNG (thread-safe)."""
+        """Pivot selection through the state's seeded RNG."""
         from .pivot import choose_pivot  # local import avoids a cycle
 
-        with self._lock:
-            return choose_pivot(candidates, strategy, self.rng, self.graph)
+        return choose_pivot(candidates, strategy, self.rng, self.graph)
 
     def pick_many(self, candidate_sets, strategy: str) -> list[int]:
-        """One pivot per candidate set, under a single lock acquisition.
+        """One pivot per candidate set.
 
         Draws from the RNG in list order — exactly the sequence that
         many :meth:`pick` calls would consume, which keeps the batched
@@ -337,11 +324,10 @@ class SCCState:
         """
         from .pivot import choose_pivot  # local import avoids a cycle
 
-        with self._lock:
-            return [
-                choose_pivot(c, strategy, self.rng, self.graph)
-                for c in candidate_sets
-            ]
+        return [
+            choose_pivot(c, strategy, self.rng, self.graph)
+            for c in candidate_sets
+        ]
 
     # ------------------------------------------------------------------
     def active_nodes(self) -> np.ndarray:
@@ -368,37 +354,33 @@ class SCCState:
         pivot sequence — the property that makes a checkpointed run
         resume bit-identically to an uninterrupted one.
         """
-        with self._lock:
-            return copy.deepcopy(self.rng.bit_generator.state)
+        return copy.deepcopy(self.rng.bit_generator.state)
 
     def set_rng_state(self, st: dict) -> None:
         """Restore an RNG snapshot taken by :meth:`rng_state`."""
-        with self._lock:
-            self.rng.bit_generator.state = copy.deepcopy(st)
+        self.rng.bit_generator.state = copy.deepcopy(st)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> StateSnapshot:
         """Copy the mutable arrays + counters (rollback point)."""
-        with self._lock:
-            return StateSnapshot(
-                color=self.color.copy(),
-                mark=self.mark.copy(),
-                labels=self.labels.copy(),
-                phase_of=self.phase_of.copy(),
-                next_color=self._next_color,
-                num_sccs=self._num_sccs,
-            )
+        return StateSnapshot(
+            color=self.color.copy(),
+            mark=self.mark.copy(),
+            labels=self.labels.copy(),
+            phase_of=self.phase_of.copy(),
+            next_color=self._next_color,
+            num_sccs=self._num_sccs,
+        )
 
     def restore(self, snap: StateSnapshot) -> None:
         """Roll the state back to ``snap`` (counters may move backward:
         this discards everything a failed executor did)."""
-        with self._lock:
-            self.color[:] = snap.color
-            self.mark[:] = snap.mark
-            self.labels[:] = snap.labels
-            self.phase_of[:] = snap.phase_of
-            self._next_color = snap.next_color
-            self._num_sccs = snap.num_sccs
+        self.color[:] = snap.color
+        self.mark[:] = snap.mark
+        self.labels[:] = snap.labels
+        self.phase_of[:] = snap.phase_of
+        self._next_color = snap.next_color
+        self._num_sccs = snap.num_sccs
 
     # ------------------------------------------------------------------
     def check_invariants(

@@ -99,97 +99,6 @@ def check_method_options(method: str, options) -> None:
         )
 
 
-def _bound_plan(plan, expiry: float, budget: float):
-    """Wrap every phase of ``plan`` with a deadline check.
-
-    The check runs at phase *entry* — cooperative, thread-safe, no
-    signals — so a run whose earlier phases consumed the budget fails
-    typed before starting the next phase instead of overshooting by a
-    whole phase.  In-phase enforcement comes from the phase-2
-    executors via ``ctx["deadline"]``.
-    """
-    import dataclasses
-
-    from ..errors import PhaseTimeoutError
-
-    def bound(ph):
-        inner = ph.fn
-
-        def fn(state, ctx, _inner=inner, _name=ph.name):
-            if time.monotonic() >= expiry:
-                raise PhaseTimeoutError(_name, budget)
-            return _inner(state, ctx)
-
-        return dataclasses.replace(ph, fn=fn)
-
-    return [bound(ph) for ph in plan]
-
-
-def _has_control_faults(fault_plan) -> bool:
-    """True when ``fault_plan`` arms crash/hang/raise at phase sites."""
-    return fault_plan is not None and any(
-        s.site == "phase" and s.kind != "corrupt" for s in fault_plan.specs
-    )
-
-
-def _lifecycle_plan(
-    plan,
-    report,
-    *,
-    checkpoint_dir,
-    phase_timeout,
-    fault_plan,
-    expiry,
-    meta,
-):
-    """Wrap every phase with the run-lifecycle duties.
-
-    Per phase, in order: the ``"phase"``-site control faults of
-    ``fault_plan`` fire at ``"pre"``; the phase runs under a SIGALRM
-    watchdog of ``phase_timeout`` seconds, which also tightens
-    ``ctx["deadline"]`` so the phase-2 executors stop cooperatively;
-    ``"mid"`` faults fire; a CRC-sealed checkpoint is published into
-    ``checkpoint_dir`` (``meta`` holds the run-level fields); ``"post"``
-    faults fire.  Executed phases and written checkpoints are recorded
-    in ``report``.
-    """
-    import dataclasses
-
-    from ..runtime.lifecycle import write_checkpoint
-    from .batch import phase_deadline
-
-    def fire(index, stage):
-        if fault_plan is not None:
-            fault_plan.fire("phase", index, stage=stage)
-
-    def wrap(i, ph):
-        inner = ph.fn
-
-        def fn(st, ctx, _inner=inner, _i=i, _name=ph.name):
-            fire(_i, "pre")
-            if phase_timeout is not None:
-                bound = time.monotonic() + phase_timeout
-                ctx["deadline"] = (
-                    bound if expiry is None else min(expiry, bound)
-                )
-            with phase_deadline(phase_timeout, _name):
-                _inner(st, ctx)
-            report.phases_run.append(_name)
-            fire(_i, "mid")
-            if checkpoint_dir is not None:
-                with st.profile.wall_timer("checkpoint"):
-                    path = write_checkpoint(
-                        checkpoint_dir, _i, st, ctx.get("queue"), meta
-                    )
-                report.checkpoints.append(path)
-                st.profile.bump("lifecycle_checkpoints")
-            fire(_i, "post")
-
-        return dataclasses.replace(ph, fn=fn)
-
-    return [wrap(i, ph) for i, ph in enumerate(plan)]
-
-
 @dataclass
 class UpdateReport:
     """What one :meth:`Engine.update` batch did to a mutable session.
@@ -515,7 +424,8 @@ class Engine:
         ends with the full invariant gate
         (:meth:`~repro.core.state.SCCState.check_invariants`),
         cross-checked against Tarjan when faults were armed, and
-        reports on ``result.lifecycle``.
+        reports on ``result.lifecycle``.  :meth:`_run_plan` lists the
+        order of these duties at a phase boundary.
         """
         return self._execute(
             self.session(target),
@@ -692,122 +602,6 @@ class Engine:
             result.labels = canonical_labels(result.labels)
         return result
 
-    def _integrity_plan(self, plan, session, state, fault_plan):
-        """Wrap every phase with the silent-corruption defenses.
-
-        Two independent jobs share the wrapper because they must agree
-        on ordering:
-
-        * ``corrupt``-kind faults at the ``"phase"`` site flip seeded
-          bits in warm arrays: ``pre``-stage before the phase's entry
-          check, ``mid``/``post`` after the phase's state reseal —
-          exactly where real rot lands, between the moments anything
-          looks.
-        * When the session carries checksum sidecars, two stores
-          guard the run.  A run-local sidecar seals the
-          :class:`SCCState` arrays the phases write (labels, colours)
-          after every phase and verifies them at every phase entry and
-          at ``run:final``, so run-state rot never crosses a phase
-          boundary.  The session arrays are read-only views that only
-          rot can change, and rot between requests is the borrow
-          check's: they are verified at ``session:borrow``
-          (:meth:`_execute`), at ``run:final``, and whenever an
-          exception escapes a phase.  On that path a mismatch raises
-          :class:`~repro.errors.IntegrityError` with the phase's error
-          as ``__cause__``, so rot that crashes a kernel answers exit
-          20; intact arrays re-raise the error unchanged.  That relies
-          on the kernels raising: NumPy indexing is bounds-checked and
-          the gathers refuse a row longer than their array.  The
-          compiled loops (:func:`~repro.kernels.jit_active`) check
-          nothing, so while they run the session arrays are also
-          verified at every phase entry.
-
-        Returns ``(wrapped_plan, final_verify)``; ``final_verify``
-        runs after the plan completes, before the result escapes.
-        """
-        import dataclasses
-
-        from ..errors import IntegrityError
-        from ..runtime.faults import apply_corruption
-
-        run_cs = None
-        if session.checksums is not None:
-            from ..integrity import ChecksummedArrays
-
-            run_cs = ChecksummedArrays()
-            # seal the fresh state immediately: a flip landing before
-            # the first phase must not be absorbed into the baseline.
-            run_cs.seal("labels", state.labels)
-            run_cs.seal("color", state.color)
-
-        def resolve(name):
-            if name in ("labels", "color"):
-                return getattr(state, name)
-            if name in ("out_degrees", "in_degrees"):
-                session.effective_degrees()
-            return session.integrity_arrays()[name]
-
-        def corrupt(index, stages):
-            if fault_plan is None:
-                return
-            for spec in fault_plan.corruptions("phase", index):
-                if spec.stage in stages:
-                    apply_corruption(resolve(spec.array), spec)
-
-        def reseal():
-            if run_cs is not None:
-                run_cs.seal("labels", state.labels)
-                run_cs.seal("color", state.color)
-
-        def verify_state(context):
-            if run_cs is None:
-                return
-            try:
-                run_cs.verify("labels", state.labels, context=context)
-                run_cs.verify("color", state.color, context=context)
-            except IntegrityError:
-                session.stats.integrity_failures += 1
-                raise
-            session.stats.integrity_verifications += 2
-
-        def verify_session_after(error, context):
-            try:
-                session.verify_integrity(context=context)
-            except IntegrityError as rot:
-                raise rot from error
-
-        # rot must not reach loops that index unchecked
-        verify_each_phase = jit_active()
-
-        def wrap(i, ph):
-            inner = ph.fn
-
-            def fn(st, ctx, _inner=inner, _i=i, _name=ph.name):
-                context = f"phase[{_i}]:{_name}"
-                corrupt(_i, ("pre",))
-                if verify_each_phase:
-                    session.verify_integrity(context=context)
-                verify_state(context)
-                try:
-                    out = _inner(st, ctx)
-                except IntegrityError:
-                    raise
-                except Exception as error:
-                    verify_session_after(error, context)
-                    raise
-                reseal()
-                corrupt(_i, ("mid", "post"))
-                return out
-
-            return dataclasses.replace(ph, fn=fn)
-
-        def final_verify():
-            session.verify_integrity(context="run:final")
-            verify_state("run:final")
-
-        wrapped = [wrap(i, ph) for i, ph in enumerate(plan)]
-        return wrapped, final_verify
-
     def _run_plan(
         self,
         session: GraphSession,
@@ -826,8 +620,55 @@ class Engine:
         phase_timeout: float | None = None,
         **method_kwargs,
     ) -> SCCResult:
-        from ..core.phases import run_plan
+        """Drive a paper pipeline's phase plan with every run-level
+        duty, at one place per phase boundary.
+
+        Per phase ``i`` (integrity context ``phase[i]:name``), inside
+        the phase's wall timer, in this order:
+
+        1. ``pre``-stage ``corrupt`` faults of ``fault_plan`` flip
+           their seeded bits;
+        2. while the unchecked compiled loops run
+           (:func:`~repro.kernels.jit_active`), the session arrays are
+           verified;
+        3. the run-state seal (``labels``, ``color``) is verified;
+        4. the run ``deadline`` is checked (past it:
+           :class:`~repro.errors.PhaseTimeoutError`);
+        5. ``pre`` control faults (crash/hang/raise) fire;
+        6. the phase runs under the ``phase_timeout`` SIGALRM watchdog,
+           with ``ctx["deadline"]`` tightened to it so the phase-2
+           executors stop cooperatively;
+        7. the phase is recorded in the lifecycle report;
+        8. ``mid`` control faults fire;
+        9. a CRC-sealed checkpoint is published into
+           ``checkpoint_dir``;
+        10. ``post`` control faults fire;
+        11. the run state is resealed;
+        12. ``mid``/``post`` ``corrupt`` faults flip their bits — where
+            real rot lands, between the moments anything looks.
+
+        A non-integrity exception from steps 4-10 first verifies the
+        session arrays: if they rotted it re-raises as
+        :class:`~repro.errors.IntegrityError` caused by the original
+        exception (rot that crashes a kernel answers exit 20), else
+        unchanged.  After the last phase the session arrays and the
+        run state are verified (``run:final``), and a run with a
+        lifecycle report — checkpointed, phase-bounded, resumed or
+        armed with phase-site control faults — passes the invariant
+        gate, cross-checked against Tarjan when it resumed or ran
+        under faults.  Steps 2, 3, 11 and the final check run only
+        when the session carries checksum sidecars; DESIGN.md §14 says
+        why the checks sit where they do.
+        """
         from ..core.state import SCCState
+        from ..errors import IntegrityError, PhaseTimeoutError
+        from ..runtime.faults import (
+            CONTROL_KINDS,
+            apply_corruption,
+            corruption_target,
+        )
+        from ..runtime.lifecycle import write_checkpoint
+        from .batch import phase_deadline
 
         session.ensure_transpose()
         plan = _phase_factory(method)(
@@ -838,19 +679,23 @@ class Engine:
         )
         expiry = None if deadline is None else time.monotonic() + deadline
         ctx: dict = {"session": session}
+        if expiry is not None:
+            ctx["deadline"] = expiry
         state = SCCState(session.graph, seed=seed, cost=cost)
-        start = 0
-        report = None
+        start, report, meta = 0, None, None
+        controls = fault_plan is not None and any(
+            s.site == "phase" and s.kind in CONTROL_KINDS
+            for s in fault_plan.specs
+        )
         if (
             checkpoint_dir is not None
             or phase_timeout is not None
             or resume is not None
-            or _has_control_faults(fault_plan)
+            or controls
         ):
             report = RunReport()
             if resume is not None:
                 start = self._restore(state, ctx, plan, report, resume)
-            meta = None
             if checkpoint_dir is not None:
                 meta = self._checkpoint_meta(
                     session,
@@ -865,26 +710,87 @@ class Engine:
                     supervisor=supervisor,
                     method_kwargs=method_kwargs,
                 )
-            plan = _lifecycle_plan(
-                plan,
-                report,
-                checkpoint_dir=checkpoint_dir,
-                phase_timeout=phase_timeout,
-                fault_plan=fault_plan,
-                expiry=expiry,
-                meta=meta,
-            )
-        if expiry is not None:
-            plan = _bound_plan(plan, expiry, deadline)
-            ctx["deadline"] = expiry
-        final_verify = None
-        if session.checksums is not None or fault_plan is not None:
-            plan, final_verify = self._integrity_plan(
-                plan, session, state, fault_plan
-            )
-        run_plan(state, plan[start:], ctx)
-        if final_verify is not None:
-            final_verify()
+        seals = None
+        if session.checksums is not None:
+            from ..integrity import ChecksummedArrays
+
+            seals = ChecksummedArrays()
+
+        def reseal() -> None:
+            if seals is not None:
+                seals.seal("labels", state.labels)
+                seals.seal("color", state.color)
+
+        def verify_state(context: str) -> None:
+            if seals is None:
+                return
+            try:
+                seals.verify("labels", state.labels, context=context)
+                seals.verify("color", state.color, context=context)
+            except IntegrityError:
+                session.stats.integrity_failures += 1
+                raise
+            session.stats.integrity_verifications += 2
+
+        def flip(index: int, stages) -> None:
+            if fault_plan is not None:
+                for spec in fault_plan.corruptions("phase", index):
+                    if spec.stage in stages:
+                        target = corruption_target(session, spec.array, state)
+                        apply_corruption(target, spec)
+
+        def fire(index: int, stage: str) -> None:
+            if fault_plan is not None:
+                fault_plan.fire("phase", index, stage=stage)
+
+        # seal the fresh (or restored) state at once: a flip landing
+        # before the first phase must not be absorbed into the baseline.
+        reseal()
+        # rot must not reach loops that index unchecked
+        verify_each_phase = jit_active()
+        for i in range(start, len(plan)):
+            ph = plan[i]
+            context = f"phase[{i}]:{ph.name}"
+            with state.profile.wall_timer(ph.timer):
+                flip(i, ("pre",))
+                if verify_each_phase:
+                    session.verify_integrity(context=context)
+                verify_state(context)
+                try:
+                    if expiry is not None and time.monotonic() >= expiry:
+                        raise PhaseTimeoutError(ph.name, deadline)
+                    fire(i, "pre")
+                    if phase_timeout is not None:
+                        bound = time.monotonic() + phase_timeout
+                        ctx["deadline"] = (
+                            bound if expiry is None else min(expiry, bound)
+                        )
+                    with phase_deadline(phase_timeout, ph.name):
+                        ph.fn(state, ctx)
+                    if report is not None:
+                        report.phases_run.append(ph.name)
+                    fire(i, "mid")
+                    if checkpoint_dir is not None:
+                        with state.profile.wall_timer("checkpoint"):
+                            path = write_checkpoint(
+                                checkpoint_dir, i, state, ctx.get("queue"),
+                                meta,
+                            )
+                        report.checkpoints.append(path)
+                        state.profile.bump("lifecycle_checkpoints")
+                    fire(i, "post")
+                except IntegrityError:
+                    raise
+                except Exception as error:
+                    try:
+                        session.verify_integrity(context=context)
+                    except IntegrityError as rot:
+                        raise rot from error
+                    raise
+                reseal()
+                flip(i, ("mid", "post"))
+        session.verify_integrity(context="run:final")
+        verify_state("run:final")
         state.check_done()
         if report is not None:
             # The lifecycle gate: full invariants, plus a Tarjan

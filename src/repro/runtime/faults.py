@@ -10,7 +10,11 @@ array (``corrupt`` — the silent-data-corruption drill the integrity
 tier detects).  The plan is matched against ``(site, index, attempt)``
 triples that the *dispatcher* assigns — not against per-process event
 counters — so injection stays deterministic across forked workers,
-pool rebuilds and retries.
+pool rebuilds and retries.  Each call site matches only the kinds it
+applies (:meth:`FaultPlan.fire` the control kinds at its stage,
+:meth:`FaultPlan.poison`, :meth:`FaultPlan.network` and
+:meth:`FaultPlan.corruptions` their own), so specs of different kinds
+armed at one point all fire, whatever their order in the plan.
 
 Injection sites:
 
@@ -69,11 +73,12 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "CONTROL_KINDS",
     "FAULT_KINDS",
     "NETWORK_KINDS",
     "FAULT_STAGES",
@@ -83,6 +88,7 @@ __all__ = [
     "FaultPlan",
     "RunFaults",
     "apply_corruption",
+    "corruption_target",
     "retarget",
     "run_faults",
 ]
@@ -92,10 +98,11 @@ __all__ = [
 #: the watchdog, inject garbage bytes, re-deliver the previous chunk.
 NETWORK_KINDS = ("disconnect", "stall", "garbage", "dup")
 
+#: the kinds :meth:`FaultPlan.fire` executes at its call sites.
+CONTROL_KINDS = ("crash", "hang", "raise")
+
 #: supported failure modes.
-FAULT_KINDS = (
-    "crash", "hang", "raise", "poison", "corrupt",
-) + NETWORK_KINDS
+FAULT_KINDS = CONTROL_KINDS + ("poison", "corrupt") + NETWORK_KINDS
 
 #: array names a ``corrupt`` fault may target (warm session state the
 #: integrity tier seals; see :mod:`repro.integrity`).
@@ -130,8 +137,11 @@ class FaultSpec:
     site: injection site (``"task"``, ``"phase"``, ``"job"``,
         ``"request"`` or ``"stream"``; see the module docstring).
     index: dispatcher-assigned task sequence id this fault targets.
+        Specs of different kinds may share an index; each call site
+        matches only its own kinds (see :class:`FaultPlan`).
     stage: lifecycle point (``"pre"``/``"mid"``/``"post"``); ignored
-        for ``poison``, which always corrupts the commit.
+        for ``poison``, which always corrupts the commit, and for the
+        network kinds, which fire on the read.
     times: number of *attempts* of the target task that fail — with
         the default 1 the first retry succeeds; set it above the
         supervisor's retry budget to force degradation.
@@ -181,7 +191,13 @@ class FaultSpec:
 
 
 class FaultPlan:
-    """An immutable, deterministic collection of :class:`FaultSpec`."""
+    """An immutable, deterministic collection of :class:`FaultSpec`.
+
+    Lookups are per kind: a ``raise`` and a ``corrupt`` armed at the
+    same ``(site, index, attempt)`` both fire, in either plan order.
+    Among specs of one kind armed at one point the first in plan order
+    wins, except :meth:`corruptions`, which returns them all.
+    """
 
     def __init__(self, specs: Iterable[FaultSpec] = ()) -> None:
         self.specs: tuple[FaultSpec, ...] = tuple(specs)
@@ -261,18 +277,32 @@ class FaultPlan:
         return cls(specs)
 
     # -- matching ------------------------------------------------------
-    def match(
-        self, site: str, index: int, attempt: int = 0
-    ) -> Optional[FaultSpec]:
-        """The spec armed for this ``(site, index, attempt)``, if any."""
+    def _armed(
+        self,
+        site: str,
+        index: int,
+        attempt: int,
+        kinds: Sequence[str] = FAULT_KINDS,
+        stage: Optional[str] = None,
+    ) -> Iterator[FaultSpec]:
+        """The specs of ``kinds`` armed for ``(site, index, attempt)``
+        (and ``stage``, when given), in plan order."""
         for spec in self.specs:
             if (
                 spec.site == site
                 and spec.index == index
                 and attempt < spec.times
+                and spec.kind in kinds
+                and (stage is None or spec.stage == stage)
             ):
-                return spec
-        return None
+                yield spec
+
+    def match(
+        self, site: str, index: int, attempt: int = 0
+    ) -> Optional[FaultSpec]:
+        """The first spec of any kind armed for this ``(site, index,
+        attempt)``, if any."""
+        return next(self._armed(site, index, attempt), None)
 
     def fire(
         self,
@@ -283,23 +313,22 @@ class FaultPlan:
         attempt: int = 0,
         thread_site: bool = False,
     ) -> None:
-        """Execute any crash/hang/raise fault armed for this point.
+        """Execute the first crash/hang/raise fault armed for this
+        point and ``stage``.
 
+        Specs of the other kinds armed at the same point are applied
+        by their own call sites (``poison`` by the commit, ``corrupt``
+        by the array owner, network kinds by the stream source) and
+        never shadow a control fault here, whatever the plan order.
         ``thread_site=True`` (the batch-job and serve-request sites)
         downgrades ``crash`` to ``raise`` — killing the whole
         interpreter to simulate one failure would take the batch or
         the daemon with it.
         """
-        spec = self.match(site, index, attempt)
-        if (
-            spec is None
-            or spec.stage != stage
-            or spec.kind in ("poison", "corrupt")
-            or spec.kind in NETWORK_KINDS
-        ):
-            # poison corrupts the commit, corrupt flips warm arrays,
-            # network kinds degrade a stream source's reads — all are
-            # applied by their own call sites, never here.
+        spec = next(
+            self._armed(site, index, attempt, CONTROL_KINDS, stage), None
+        )
+        if spec is None:
             return
         if spec.kind == "hang":
             time.sleep(spec.hang_seconds)
@@ -314,7 +343,7 @@ class FaultPlan:
     def network(
         self, site: str, index: int, attempt: int = 0
     ) -> Optional[FaultSpec]:
-        """The network-kind spec armed for this read, if any.
+        """The first network-kind spec armed for this read, if any.
 
         Stream sources call this once per read with their monotone
         read counter; a hit tells the source to degrade *itself* —
@@ -324,15 +353,12 @@ class FaultPlan:
         previous chunk at its old offset (``dup``) so the at-least-
         once machinery downstream has something to deduplicate.
         """
-        spec = self.match(site, index, attempt)
-        if spec is not None and spec.kind in NETWORK_KINDS:
-            return spec
-        return None
+        return next(self._armed(site, index, attempt, NETWORK_KINDS), None)
 
     def poison(self, site: str, index: int, attempt: int = 0) -> bool:
-        """True when this task's commit should be corrupted."""
-        spec = self.match(site, index, attempt)
-        return spec is not None and spec.kind == "poison"
+        """True when a ``poison`` spec is armed for this task's commit
+        (at any stage)."""
+        return any(self._armed(site, index, attempt, ("poison",)))
 
     def corruptions(
         self,
@@ -349,15 +375,7 @@ class FaultPlan:
         rot several arrays at the same boundary.  The caller applies
         them with :func:`apply_corruption` against the arrays it owns.
         """
-        return tuple(
-            s
-            for s in self.specs
-            if s.kind == "corrupt"
-            and s.site == site
-            and s.index == index
-            and attempt < s.times
-            and (stage is None or s.stage == stage)
-        )
+        return tuple(self._armed(site, index, attempt, ("corrupt",), stage))
 
     # -- misc ----------------------------------------------------------
     def __len__(self) -> int:
@@ -417,11 +435,7 @@ class RunFaults:
     def corrupt(self, session) -> None:
         """Apply the armed bit flips to ``session``'s sealed arrays."""
         for spec in self.flips:
-            if spec.array in ("in_indptr", "in_indices"):
-                session.ensure_transpose()
-            elif spec.array in ("out_degrees", "in_degrees"):
-                session.effective_degrees()
-            apply_corruption(session.integrity_arrays()[spec.array], spec)
+            apply_corruption(corruption_target(session, spec.array), spec)
 
 
 def run_faults(
@@ -464,6 +478,23 @@ def run_faults(
         phase_plan=FaultPlan(phase) if phase else None,
         flips=tuple(s for s in armed if s.site != "phase"),
     )
+
+
+def corruption_target(session, name: str, state=None) -> np.ndarray:
+    """The array a ``corrupt`` spec naming ``name`` flips bits in.
+
+    ``labels``/``color`` are the run-owned arrays of ``state`` (an
+    :class:`~repro.core.state.SCCState`); every other name is one of
+    ``session``'s sealed arrays, materializing the transpose or the
+    degrees first so the flip lands where the run reads.
+    """
+    if name in ("labels", "color"):
+        return getattr(state, name)
+    if name in ("in_indptr", "in_indices"):
+        session.ensure_transpose()
+    elif name in ("out_degrees", "in_degrees"):
+        session.effective_degrees()
+    return session.integrity_arrays()[name]
 
 
 def apply_corruption(array: np.ndarray, spec: FaultSpec) -> List[int]:

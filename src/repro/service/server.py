@@ -130,7 +130,6 @@ class ServiceConfig:
     backend: str = "serial"
     workers: int = 2
     max_sessions: int = 8
-    canonical: bool = True
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker_threshold: int = 3
@@ -412,7 +411,6 @@ class EngineHost:
         self.engine = engine or Engine(
             backend=cfg.backend,
             num_workers=cfg.workers,
-            canonical=cfg.canonical,
             max_sessions=cfg.max_sessions,
             integrity=cfg.checksums,
             compact_ratio=cfg.compact_ratio,
@@ -552,6 +550,16 @@ class SCCService(EngineHost):
             cooldown=cfg.breaker_cooldown,
             clock=clock,
         )
+        # validated before the journal opens and the workers fork
+        self.auditor = None
+        if cfg.audit_rate > 0:
+            from ..integrity import SelfAuditor
+
+            self.auditor = SelfAuditor(
+                rate=cfg.audit_rate,
+                seed=cfg.audit_seed,
+                on_mismatch=self._on_audit_mismatch,
+            )
         self.journal = None
         if cfg.journal_path:
             from .journal import RequestJournal
@@ -580,15 +588,6 @@ class SCCService(EngineHost):
         self._seq_lock = threading.Lock()
         self._started = clock()
         self._clock = clock
-        self.auditor = None
-        if cfg.audit_rate > 0:
-            from ..integrity import SelfAuditor
-
-            self.auditor = SelfAuditor(
-                rate=cfg.audit_rate,
-                seed=cfg.audit_seed,
-                on_mismatch=self._on_audit_mismatch,
-            )
         # stats
         self.requests = 0
         self.completed = 0

@@ -121,6 +121,27 @@ class TestMutableSessionFlags:
         assert compacted == [True, True]
 
 
+class TestBadConfigValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--compact-ratio", "0"],
+            ["serve", "--max-sessions", "0"],
+            ["serve", "--max-queue", "-1"],
+            ["stream", "wiki", "--compact-ratio", "0"],
+            ["stream", "wiki", "--batch-edges", "0"],
+        ],
+        ids=["serve-compact-ratio", "serve-max-sessions", "serve-max-queue",
+             "stream-compact-ratio", "stream-batch-edges"],
+    )
+    def test_exit_2_with_one_error_line(self, capsys, tmp_path, argv):
+        if argv[0] == "stream":
+            argv = argv + ["--source", f"tail-once:{tmp_path / 'feed'}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 class TestSweep:
     def test_panel_printed(self, capsys):
         code, out = run_cli(

@@ -19,7 +19,12 @@ from repro.engine.session import GraphSession
 from repro.errors import IntegrityError
 from repro.graph import from_edge_list
 from repro.kernels import jit_active, registry, use_backend
-from repro.runtime.faults import FaultPlan, FaultSpec, apply_corruption
+from repro.runtime.faults import (
+    FaultInjected,
+    FaultPlan,
+    FaultSpec,
+    apply_corruption,
+)
 
 
 def small_graph():
@@ -194,6 +199,52 @@ class TestEngineDetection:
         with Engine(backend="serial", canonical=True) as eng:
             sess = eng.session(small_graph())
             assert sess.checksums is None
+
+
+class TestPhaseLoop:
+    """The run-level duties at a phase boundary, taken together."""
+
+    @pytest.mark.parametrize(
+        "raise_first", [True, False], ids=["raise-first", "corrupt-first"]
+    )
+    def test_raise_beside_a_flip_is_typed_in_either_order(self, raise_first):
+        # both armed at phase 3 entry: the flip lands, then the raise
+        # escapes the phase and the session check types it as rot.
+        specs = [
+            FaultSpec(kind="raise", site="phase", index=3),
+            phase_corrupt("indices", index=3),
+        ]
+        if not raise_first:
+            specs.reverse()
+        with Engine(backend="serial", integrity=True) as eng:
+            sess = eng.load("wiki", scale=0.05)
+            with pytest.raises(IntegrityError) as exc:
+                eng.run(
+                    sess, phase_timeout=30, fault_plan=FaultPlan(specs)
+                )
+        assert exc.value.context == "phase[3]:par_trim2"
+        assert exc.value.array == "indices"
+        assert isinstance(exc.value.__cause__, FaultInjected)
+
+    def test_checkpointed_run_catches_rot_and_resumes_clean(self, tmp_path):
+        # the flip lands after phase 2's checkpoint and reseal, so the
+        # checkpoint is clean and the next phase entry catches the rot.
+        ckpt = tmp_path / "ckpt"
+        plan = FaultPlan([phase_corrupt("labels", index=2, stage="mid")])
+        with Engine(backend="serial", integrity=True) as eng:
+            sess = eng.load("wiki", scale=0.05)
+            expected = canonical_labels(tarjan_scc(sess.graph))
+            with pytest.raises(IntegrityError) as exc:
+                eng.run(sess, checkpoint_dir=ckpt, fault_plan=plan)
+        assert exc.value.context == "phase[3]:par_trim2"
+        assert exc.value.array == "labels"
+        assert sorted(p.name[:8] for p in ckpt.glob("*.ckpt.npz")) == [
+            "phase-00", "phase-01", "phase-02",
+        ]
+        with Engine(backend="serial", integrity=True) as eng:
+            result = eng.resume(ckpt)
+        assert result.lifecycle.resumed_phase == "par_trim2"
+        assert np.array_equal(result.labels, expected)
 
 
 class TestUpdateReseal:

@@ -62,6 +62,43 @@ class TestFaultPlan:
         assert plan.poison("task", 0)
         assert not plan.poison("task", 1)
 
+    @pytest.mark.parametrize(
+        "text", ["corrupt.indices@3,raise@3", "raise@3,corrupt.indices@3"]
+    )
+    def test_fire_not_shadowed_by_a_corrupt_spec(self, text):
+        # each call site looks up its own kinds: plan order decides
+        # nothing, and match() still answers the first spec of any kind
+        plan = FaultPlan.parse(text)
+        assert plan.match("task", 3) is plan.specs[0]
+        assert [s.kind for s in plan.corruptions("task", 3)] == ["corrupt"]
+        with pytest.raises(FaultInjected):
+            plan.fire("task", 3, stage="pre")
+
+    @pytest.mark.parametrize("text", ["raise@3,poison@3", "poison@3,raise@3"])
+    def test_poison_and_raise_at_one_task(self, text):
+        plan = FaultPlan.parse(text)
+        assert plan.poison("task", 3)
+        with pytest.raises(FaultInjected):
+            plan.fire("task", 3, stage="pre")
+
+    @pytest.mark.parametrize(
+        "text", ["hang@2:pre,raise@2:post", "raise@2:post,hang@2:pre"]
+    )
+    def test_fire_matches_its_own_stage(self, text):
+        plan = FaultPlan.parse(text)
+        plan.fire("task", 2, stage="mid")  # nothing armed there
+        with pytest.raises(FaultInjected):
+            plan.fire("task", 2, stage="post")
+
+    @pytest.mark.parametrize(
+        "text", ["disconnect@1,raise@1", "raise@1,disconnect@1"]
+    )
+    def test_network_and_control_faults_at_one_read(self, text):
+        plan = FaultPlan.parse(text)
+        assert plan.network("task", 1).kind == "disconnect"
+        with pytest.raises(FaultInjected):
+            plan.fire("task", 1, stage="pre")
+
     def test_random_plan_is_seed_deterministic(self):
         a = FaultPlan.random(42, n_faults=4)
         b = FaultPlan.random(42, n_faults=4)

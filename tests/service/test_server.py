@@ -11,7 +11,7 @@ from repro.core.api import strongly_connected_components
 from repro.core.result import canonical_labels
 from repro.generators import generate
 from repro.ioutil import crc32_chunks
-from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.runtime.faults import FaultPlan, FaultSpec, retarget
 from repro.service import (
     AdmissionConfig,
     GovernorConfig,
@@ -220,6 +220,25 @@ class TestRetryAndBreaker:
         )
         assert resp["labels_crc32"] == tarjan_crc()
         assert svc.stats()["retried"] == 1
+
+    @pytest.mark.parametrize(
+        "text", ["corrupt.indices@0,raise@0", "raise@0,corrupt.indices@0"]
+    )
+    def test_request_raise_beside_a_flip_fires_in_either_order(self, text):
+        # the raise fails attempt 0 before its flip lands; the retry
+        # runs clean (both specs are times=1)
+        config = ServiceConfig(
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
+        )
+        with SCCService(
+            config, fault_plan=retarget(text, "request")
+        ) as svc:
+            resp = svc.handle(run_request())
+            assert svc.stats()["integrity"]["detected"] == 0
+        assert resp["ok"], resp
+        assert resp["attempts"] == 2
+        assert "FaultInjected" in str(resp["retried_errors"][0])
+        assert resp["labels_crc32"] == tarjan_crc()
 
     def test_breaker_trips_and_degrades_backend(self):
         clock = FakeClock()
