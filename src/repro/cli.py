@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-plan",
         default=None,
         help="inject batch-level faults ('kind@index[:stage]' list or "
-        "JSON spec) at the per-job boundary; the hit job fails typed "
-        "and the batch continues",
+        "JSON spec) at the request site, index = the job's manifest "
+        "position; the hit job fails typed and the batch continues",
     )
     p_batch.add_argument(
         "--retries",
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="inject service-level faults at the per-request "
         "boundary ('kind@index[:stage]' list or JSON spec; index = "
-        "admission sequence number) — chaos drills for the retry "
+        "request sequence number) — chaos drills for the retry "
         "path and circuit breaker",
     )
     p_serve.add_argument(
@@ -882,9 +882,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_batch(args) -> int:
     from .engine import Engine, load_manifest, run_batch
+    from .service import RetryPolicy
 
     try:
         jobs = load_manifest(args.manifest)
+        # a bad flag value (--retries 0, --backoff -1) exits 2 too
+        retry = RetryPolicy(
+            max_attempts=args.retries, backoff_base=args.backoff
+        )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -892,10 +897,11 @@ def _cmd_batch(args) -> int:
     if args.fault_plan:
         from .runtime.faults import retarget
 
-        # This flag injects at the per-job boundary (per-task
-        # injection belongs in a job's own fault_plan field).
+        # This flag injects at the request boundary (index = the job's
+        # manifest position); per-task injection belongs in a job's
+        # own fault_plan field.
         try:
-            fault_plan = retarget(args.fault_plan, "job")
+            fault_plan = retarget(args.fault_plan, "request")
         except ValueError as exc:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
@@ -918,13 +924,6 @@ def _cmd_batch(args) -> int:
             else job
             for job in jobs
         ]
-    retry = None
-    if args.retries > 1:
-        from .service import RetryPolicy
-
-        retry = RetryPolicy(
-            max_attempts=args.retries, backoff_base=args.backoff
-        )
 
     def progress(rec) -> None:
         if rec.ok:
@@ -935,9 +934,14 @@ def _cmd_batch(args) -> int:
             status = f"FAIL({rec.exit_code}) {rec.error_type}: {rec.error}"
         warm = " warm" if rec.warm else ""
         tries = f" attempts={rec.attempts}" if rec.attempts > 1 else ""
+        moved = (
+            f" on {rec.backend_used}"
+            if rec.backend_used not in (None, rec.backend)
+            else ""
+        )
         print(
             f"[{rec.index + 1}/{len(jobs)}] {rec.label}: {status} "
-            f"({rec.seconds:.2f}s{warm}{tries})"
+            f"({rec.seconds:.2f}s{warm}{tries}{moved})"
         )
 
     with Engine(integrity=not args.no_checksums) as engine:
@@ -980,7 +984,7 @@ def _cmd_serve(args) -> int:
         from .runtime.faults import retarget
 
         # This flag injects at the per-request boundary (index = the
-        # request's admission sequence number).
+        # request's sequence number).
         try:
             fault_plan = retarget(args.fault_plan, "request")
         except ValueError as exc:

@@ -19,7 +19,8 @@ the load-once/run-many serving surface above them:
   maintenance over a mutable :class:`~repro.graph.delta.DeltaCSR`
   overlay (streaming edge inserts/deletes);
 * :mod:`repro.engine.batch` — manifest parsing and per-job-isolated
-  batch execution behind ``repro batch``.
+  batch execution behind ``repro batch``, each job one in-process
+  serve ``run`` request.
 """
 
 from .backends import BACKEND_NAMES, get_executor

@@ -1,29 +1,40 @@
 """Load-once / run-many batch serving over warm graph sessions.
 
 A batch is a manifest of jobs — ``(graph source, method, backend,
-kernels, seed, options)`` — executed by one :class:`~repro.engine.
-engine.Engine` so that every job against the same graph reuses the
-same warm session (graph, transpose, shared mirror, forked pool).
+kernels, seed, options)`` — served by one :class:`~repro.engine.engine.
+Engine`, so every job against the same graph reuses the same warm
+session (graph, transpose, shared mirror, forked pool).
 
-**Per-job error isolation** is the contract that makes this a serving
-surface rather than a script: one failing job produces an exit record
+:func:`run_batch` is an in-process client of the serve pipeline: each
+job becomes one ``run`` request to an :class:`~repro.service.server.
+SCCService` over the caller's engine, so a job gets its check,
+admission, retries, circuit breakers (the supervised -> serial
+ladder), fault slice, certificate, quarantine and typed error exactly
+where a ``repro serve`` request does.  This module keeps only what is
+batch-shaped: the manifest, the per-job ``kernels`` pin, and the
+:class:`JobRecord` / :class:`BatchReport` format.
+
+**Per-job error isolation**: one failing job produces an exit record
 (the :class:`~repro.errors.ReproError` taxonomy's typed exit code, or
 1 for untyped failures) and the batch *continues*; the report carries
 every record plus the session amortization stats.  A batch-level
-:class:`~repro.runtime.faults.FaultPlan` can inject failures at the
-``"job"`` site (index = job position, ``attempt`` = retry attempt) to
-prove the isolation under test — a ``crash`` there is downgraded to
-``raise`` so chaos drills don't take the whole batch process down.
+:class:`~repro.runtime.faults.FaultPlan` injects at the service's
+``"request"`` site, whose index is the request's sequence number —
+the job's manifest position — and whose ``attempt`` is the retry
+attempt; a ``crash`` there is downgraded to ``raise`` so chaos drills
+don't take the whole batch process down.
 
-Three hardening knobs from the service layer also apply per job:
+The serving guarantees carry over per job:
 
-* ``BatchJob.timeout`` bounds one job in wall-clock seconds (SIGALRM
-  in the main thread, plus the engine's cooperative phase deadline);
+* ``BatchJob.timeout`` is the request's ``deadline``: one wall-clock
+  budget across every retry, enforced by :meth:`Engine.run` itself;
 * ``run_batch(..., retry=RetryPolicy(...))`` retries *transient* job
   failures with backoff (``JobRecord.attempts`` records the count);
-* SIGTERM/SIGINT during a batch stops admitting jobs: the in-flight
-  job finishes, the remainder is marked ``shed`` (exit code 17), and
-  the report is still returned — so ``--report`` publishes atomically.
+* SIGTERM/SIGINT during a batch drains the service (main thread only):
+  the job running on the engine finishes, the remainder — a job still
+  backing off between attempts included — is shed typed (exit code
+  17), and the report is still returned, so ``--output`` publishes
+  atomically.
 
 The ``repro batch`` CLI subcommand is a thin wrapper over
 :func:`load_manifest` + :func:`run_batch`.
@@ -32,64 +43,19 @@ The ``repro batch`` CLI subcommand is a thin wrapper over
 from __future__ import annotations
 
 import json
-import signal
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
-
-from ..errors import (
-    PhaseTimeoutError,
-    ReproError,
-    ServiceOverloadError,
-    exit_code_for,
-)
 
 __all__ = [
     "BatchJob",
     "JobRecord",
     "BatchReport",
     "load_manifest",
-    "phase_deadline",
     "run_batch",
 ]
-
-
-@contextmanager
-def phase_deadline(seconds: Optional[float], phase: str):
-    """SIGALRM watchdog bounding one unit of work (same machinery as
-    the test suite's deadlock guard); raises
-    :class:`~repro.errors.PhaseTimeoutError` labelled ``phase`` on
-    expiry.  Bounds one batch job here and one pipeline phase under
-    :meth:`Engine.run`'s ``phase_timeout``.  No-op when unavailable
-    (non-POSIX or a non-main thread) — the cooperative
-    ``ctx['deadline']`` bound still covers the phase-2 executors
-    there."""
-    if (
-        not seconds
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _timed_out(signum, frame):
-        raise PhaseTimeoutError(phase, seconds)
-
-    old_handler = signal.signal(signal.SIGALRM, _timed_out)
-    outer, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
-    started = time.monotonic()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old_handler)
-        if outer:
-            # an enclosing watchdog kept counting meanwhile: re-arm it
-            # with what is left (at once if it expired in here).
-            left = outer - (time.monotonic() - started)
-            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3), interval)
 
 
 @dataclass(frozen=True)
@@ -116,13 +82,25 @@ class BatchJob:
     #: any other kind forces the supervised backend, exactly like
     #: ``repro scc --fault-plan``.
     fault_plan: Optional[str] = None
-    #: wall-clock budget for this job, seconds (None = unbounded).
+    #: wall-clock budget for this job in seconds, one across all its
+    #: retries: the request's ``deadline`` (None = unbounded).
     timeout: Optional[float] = None
     #: certification level for the result ("crc", "sample", "full";
     #: None = no certificate) — see :func:`repro.integrity.certify_result`.
     certify: Optional[str] = None
     options: dict = field(default_factory=dict)
     label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # the pin is applied around the request, outside the service,
+        # so a bad tier is refused here rather than half-way through.
+        from ..kernels.registry import BACKEND_CHOICES
+
+        if self.kernels is not None and self.kernels not in BACKEND_CHOICES:
+            raise ValueError(
+                f"unknown kernel backend {self.kernels!r}; "
+                f"choose from {BACKEND_CHOICES}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatchJob":
@@ -138,6 +116,23 @@ class BatchJob:
 
     def describe(self) -> str:
         return self.label or f"{self.method}@{self.graph}[{self.backend}]"
+
+    def to_request(self) -> dict:
+        """This job as a serve ``run`` request."""
+        return {
+            "op": "run",
+            "graph": self.graph,
+            "scale": self.scale,
+            "on_error": self.on_error,
+            "method": self.method,
+            "backend": self.backend,
+            "workers": self.workers,
+            "seed": self.seed,
+            "deadline": self.timeout,
+            "options": self.options,
+            "fault_plan": self.fault_plan,
+            "certify": self.certify,
+        }
 
 
 @dataclass
@@ -169,6 +164,11 @@ class JobRecord:
     #: the machine-checkable result certificate, when the job asked
     #: for one (see :func:`repro.integrity.certify_result`).
     certificate: Optional[dict] = None
+    #: the executor that produced the answer: ``backend``, or where the
+    #: circuit breakers' supervised -> serial ladder sent the job (or
+    #: ``"supervised"`` when its own fault plan arms task faults).
+    #: None when the job did not complete.
+    backend_used: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -190,6 +190,7 @@ class JobRecord:
             "attempts": self.attempts,
             "shed": self.shed,
             "certificate": self.certificate,
+            "backend_used": self.backend_used,
         }
 
 
@@ -276,34 +277,18 @@ def load_manifest(path) -> List[BatchJob]:
             f"{path}: manifest must be a non-empty job list or "
             "{'jobs': [...]}"
         )
-    return [BatchJob.from_dict(obj) for obj in data]
-
-
-@contextmanager
-def _interrupt_guard(stop: threading.Event):
-    """SIGTERM/SIGINT -> stop admitting jobs (graceful batch drain).
-
-    Main thread only (signals cannot be installed elsewhere; a batch
-    driven from a worker thread relies on its caller's handling).  The
-    previous handlers are restored on exit, so nested uses — a batch
-    inside the serve daemon's drain window — compose.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _stop(signum, frame):
-        stop.set()
-
-    old = {
-        sig: signal.signal(sig, _stop)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        yield
-    finally:
-        for sig, handler in old.items():
-            signal.signal(sig, handler)
+    jobs = []
+    for i, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"{path}: job {i} must be a JSON object, "
+                f"not {type(obj).__name__}"
+            )
+        try:
+            jobs.append(BatchJob.from_dict(obj))
+        except ValueError as exc:
+            raise ValueError(f"{path}: job {i}: {exc}") from None
+    return jobs
 
 
 def run_batch(
@@ -314,93 +299,64 @@ def run_batch(
     retry=None,
     progress: Optional[Callable[[JobRecord], None]] = None,
 ) -> BatchReport:
-    """Execute ``jobs`` on ``engine`` with per-job error isolation.
+    """Serve ``jobs`` on ``engine``, one ``run`` request each, with
+    per-job error isolation.
 
     Every job runs to an explicit :class:`JobRecord`; a failure is
     captured (typed exit code, message), never propagated, and the
-    remaining jobs still run.  ``fault_plan`` fires at the ``"job"``
-    site before each attempt of each job body (chaos testing of the
-    isolation); ``retry`` is an optional :class:`~repro.service.retry.
-    RetryPolicy` re-running *transient* job failures with backoff;
-    ``progress`` is called with each finished record (the CLI's
-    per-line printer).
+    remaining jobs still run.  ``fault_plan`` is the service's plan:
+    its ``"request"``-site specs pick their job by manifest position
+    (chaos testing of the isolation).  ``retry`` is an optional
+    :class:`~repro.service.retry.RetryPolicy` re-running *transient*
+    job failures with backoff (default: one attempt).  ``progress`` is
+    called with each finished record (the CLI's per-line printer).
 
-    A SIGTERM/SIGINT during the batch finishes the in-flight job,
-    marks every remaining job ``shed`` (exit code 17), and returns the
-    report normally so callers still publish it atomically.
+    A SIGTERM/SIGINT during the batch drains the service: the job
+    running on the engine finishes, every later one is shed (exit code
+    17), and the report returns normally so callers still publish it
+    atomically.  The engine stays the caller's; the batch never
+    closes it.
     """
+    from ..kernels import use_backend
+    from ..service.retry import RetryPolicy
+    from ..service.server import SCCService, ServiceConfig, _drain_signals
+
+    service = SCCService(
+        ServiceConfig(retry=retry or RetryPolicy(max_attempts=1)),
+        engine=engine,
+        fault_plan=fault_plan,
+    )
     report = BatchReport()
     t_batch = time.perf_counter()
-    stop = threading.Event()
-    with _interrupt_guard(stop):
+    with _drain_signals(service, threading.Event()):
         for index, job in enumerate(jobs):
+            t0 = time.perf_counter()
+            with use_backend(job.kernels) if job.kernels else nullcontext():
+                response = service.handle(job.to_request())
+            ok, shed = response["ok"], response.get("shed", False)
             rec = JobRecord(
                 index=index,
                 label=job.describe(),
                 graph=job.graph,
                 method=job.method,
                 backend=job.backend,
+                ok=ok,
+                exit_code=0 if ok else response["exit_code"],
+                error=response.get("error"),
+                error_type=response.get("error_type"),
+                num_sccs=response.get("num_sccs"),
+                largest_scc=response.get("largest_scc"),
+                giant_fraction=response.get("giant_fraction"),
+                seconds=time.perf_counter() - t0,
+                warm=response.get("warm", False),
+                session_fingerprint=response.get("session_fingerprint"),
+                # a job refused by the check still counts one attempt;
+                # one shed before its first never started.
+                attempts=max(response["attempts"], 0 if shed else 1),
+                shed=shed,
+                certificate=response.get("certificate"),
+                backend_used=response.get("backend_used"),
             )
-            if stop.is_set():
-                shed = ServiceOverloadError(
-                    "batch interrupted; job shed", reason="draining"
-                )
-                rec.shed = True
-                rec.attempts = 0
-                rec.error = str(shed)
-                rec.error_type = type(shed).__name__
-                rec.exit_code = exit_code_for(shed)
-                report.records.append(rec)
-                if progress is not None:
-                    progress(rec)
-                continue
-            t0 = time.perf_counter()
-
-            def attempt_job(attempt: int, _index=index, _job=job):
-                if fault_plan is not None:
-                    # thread_site: a "crash" here must fail the job,
-                    # not kill the batch process.
-                    fault_plan.fire(
-                        "job",
-                        _index,
-                        stage="pre",
-                        attempt=attempt,
-                        thread_site=True,
-                    )
-                with phase_deadline(_job.timeout, f"job[{_index}]"):
-                    return _run_job(
-                        engine,
-                        _job,
-                        attempt=attempt,
-                        batch_plan=fault_plan,
-                        job_index=_index,
-                    )
-
-            try:
-                if retry is not None:
-                    outcome = retry.execute(attempt_job, key=index)
-                    rec.attempts = outcome.attempts
-                    fingerprint, result, warm, cert = outcome.value
-                else:
-                    fingerprint, result, warm, cert = attempt_job(0)
-                rec.session_fingerprint = fingerprint
-                rec.warm = warm
-                rec.certificate = cert
-                rec.num_sccs = result.num_sccs
-                rec.largest_scc = result.largest_scc_size()
-                rec.giant_fraction = result.giant_fraction()
-                rec.ok = True
-            except ReproError as exc:
-                rec.error = str(exc)
-                rec.error_type = type(exc).__name__
-                rec.exit_code = exit_code_for(exc)
-                _note_attempts(rec, exc)
-            except Exception as exc:  # untyped: still isolated, code 1
-                rec.error = str(exc) or type(exc).__name__
-                rec.error_type = type(exc).__name__
-                rec.exit_code = 1
-                _note_attempts(rec, exc)
-            rec.seconds = time.perf_counter() - t0
             report.records.append(rec)
             if progress is not None:
                 progress(rec)
@@ -412,82 +368,3 @@ def run_batch(
         for sess in engine.sessions
     }
     return report
-
-
-def _note_attempts(rec: JobRecord, exc: BaseException) -> None:
-    """Copy the attempt count a retry policy stamped on the failure."""
-    outcome = getattr(exc, "__retry_outcome__", None)
-    if outcome is not None:
-        rec.attempts = outcome.attempts
-
-
-def _run_job(
-    engine,
-    job: BatchJob,
-    attempt: int = 0,
-    batch_plan=None,
-    job_index: int = 0,
-):
-    """One job body: resolve the session, run, return the essentials."""
-    from ..errors import IntegrityError
-    from ..runtime.faults import run_faults
-    from .engine import check_method_options
-
-    check_method_options(job.method, job.options)
-    session = engine.load(
-        job.graph, scale=job.scale, seed=None, on_error=job.on_error
-    )
-    # job-carried specs target *this* job regardless of site/index; the
-    # batch-level --fault-plan's "job"-site corruptions pick their job
-    # by manifest position, and its "phase"-site ones ride into every
-    # job's run.
-    faults = run_faults(
-        job.fault_plan, attempt, plan=batch_plan, site="job", index=job_index
-    )
-    faults.corrupt(session)
-    runs_before = session.stats.runs
-    warm_before = session.stats.warm_runs
-
-    def execute():
-        return engine.run(
-            session,
-            method=job.method,
-            backend=faults.backend or job.backend,
-            num_workers=job.workers,
-            seed=job.seed,
-            supervisor=faults.supervisor,
-            # cooperative twin of the SIGALRM job guard: enforced at
-            # phase boundaries even off the main thread.
-            deadline=job.timeout,
-            fault_plan=faults.phase_plan,
-            **job.options,
-        )
-
-    try:
-        if job.kernels is not None:
-            from ..kernels import use_backend
-
-            with use_backend(job.kernels):
-                result = execute()
-        else:
-            result = execute()
-        certificate = None
-        if job.certify:
-            from ..integrity import certify_result
-
-            certificate = certify_result(
-                session.graph,
-                result.labels,
-                level=job.certify,
-                seed=job.seed,
-            )
-    except IntegrityError:
-        # detected corruption: evict the rotten session so a retry —
-        # or the next job against this graph — rebuilds from source.
-        engine.quarantine(session.fingerprint)
-        raise
-    warm = (
-        session.stats.runs == runs_before + 1
-        and session.stats.warm_runs == warm_before + 1
-    )
-    return session.fingerprint, result, warm, certificate

@@ -12,9 +12,10 @@ exposes:
   SCCResult`; with ``checkpoint_dir`` / ``phase_timeout`` the paper
   pipelines also publish phase-boundary checkpoints and bound every
   phase, and :meth:`Engine.resume` finishes such a run after a crash;
-* :meth:`Engine.run_many` — a manifest of jobs executed over warm
-  sessions with per-job error isolation (see :mod:`repro.engine.
-  batch`), the ``repro batch`` CLI's engine.
+* :meth:`Engine.run_many` — a manifest of jobs served over warm
+  sessions as in-process ``run`` requests, with per-job error
+  isolation (see :mod:`repro.engine.batch`), the ``repro batch``
+  CLI's engine.
 
 Determinism: by default the engine canonicalizes result labels (SCC
 ids ordered by first node occurrence).  The SCC *partition* of a graph
@@ -27,14 +28,18 @@ order (bit-identical to calling the method functions directly).
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.result import RunReport, SCCResult, canonical_labels
+from ..errors import PhaseTimeoutError
 from ..graph import CSRGraph
 from ..ioutil import crc32_chunks
 from ..kernels import jit_active
@@ -42,10 +47,49 @@ from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from .backends import get_executor
 from .session import DELTA_LOG_ARRAYS, GraphSession, graph_fingerprint
 
-__all__ = ["Engine", "UpdateReport", "check_method_options"]
+__all__ = ["Engine", "UpdateReport", "check_method_options", "phase_deadline"]
 
 #: methods that accept neither seed nor backend options.
 _SEQUENTIAL = ("tarjan", "kosaraju", "gabow")
+
+
+@contextmanager
+def phase_deadline(seconds: Optional[float], phase: str):
+    """SIGALRM watchdog bounding one unit of work (same machinery as
+    the test suite's deadlock guard); raises
+    :class:`~repro.errors.PhaseTimeoutError` labelled ``phase`` on
+    expiry.  :meth:`Engine.run` arms it around each pipeline phase for
+    the tighter of ``phase_timeout`` and the run deadline left, and
+    around the other methods for the deadline.  A budget already spent
+    fires at once.  No-op for ``None`` and where unavailable (non-POSIX
+    or a non-main thread) — the cooperative ``ctx['deadline']`` bound
+    still covers the pipelines' phase-2 executors there."""
+    if (
+        seconds is None
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    seconds = max(seconds, 1e-3)
+
+    def _timed_out(signum, frame):
+        raise PhaseTimeoutError(phase, seconds)
+
+    old_handler = signal.signal(signal.SIGALRM, _timed_out)
+    outer, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    started = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+        if outer:
+            # an enclosing watchdog kept counting meanwhile: re-arm it
+            # with what is left (at once if it expired in here).
+            left = outer - (time.monotonic() - started)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3), interval)
 
 
 def _phase_factory(method: str):
@@ -398,9 +442,14 @@ class Engine:
         ``method2`` get the full warm-session treatment (cached
         transpose, shared mirror, persistent worker pool), everything
         else reuses the cached graph.  ``deadline`` bounds the run in
-        wall-clock seconds: for the pipelines it is checked at every
-        phase boundary and threaded into the phase-2 executors
-        (cooperative — safe from any thread); expiry raises
+        wall-clock seconds.  On the main thread a SIGALRM watchdog
+        (:func:`phase_deadline`) enforces it for every method: around
+        each pipeline phase, armed for the tighter of ``phase_timeout``
+        and the deadline left, and around the whole run of any other
+        method.  The pipelines also check it at every phase boundary
+        and thread it into the phase-2 executors (cooperative, so it
+        holds on any thread; off the main thread the other methods run
+        unbounded).  Expiry raises
         :class:`~repro.errors.PhaseTimeoutError`.  ``fault_plan`` arms
         faults at the ``"phase"`` site for the pipelines: ``corrupt``
         specs drive seeded bit flips into warm arrays at exact phase
@@ -416,9 +465,9 @@ class Engine:
           atomic, CRC-checked checkpoint after every phase (format:
           :mod:`repro.runtime.lifecycle`); :meth:`resume` finishes an
           interrupted run bit-identically;
-        * ``phase_timeout`` — bound every phase by a SIGALRM watchdog
-          (main thread) plus the cooperative phase-2 deadline; a
-          wedged phase raises :class:`~repro.errors.PhaseTimeoutError`.
+        * ``phase_timeout`` — bound every phase by the same watchdog
+          plus the cooperative phase-2 deadline; a wedged phase raises
+          :class:`~repro.errors.PhaseTimeoutError`.
 
         Such a run — and one armed with phase-site control faults —
         ends with the full invariant gate
@@ -584,15 +633,16 @@ class Engine:
                 **method_kwargs,
             )
         else:
-            result = self._run_other(
-                session,
-                method,
-                backend=backend,
-                num_workers=num_workers,
-                seed=seed,
-                cost=cost,
-                **method_kwargs,
-            )
+            with phase_deadline(deadline, method):
+                result = self._run_other(
+                    session,
+                    method,
+                    backend=backend,
+                    num_workers=num_workers,
+                    seed=seed,
+                    cost=cost,
+                    **method_kwargs,
+                )
             session.verify_integrity(context="session:return")
         warm = was_run and (
             session.stats.setup_seconds() == setup_before
@@ -635,9 +685,11 @@ class Engine:
         4. the run ``deadline`` is checked (past it:
            :class:`~repro.errors.PhaseTimeoutError`);
         5. ``pre`` control faults (crash/hang/raise) fire;
-        6. the phase runs under the ``phase_timeout`` SIGALRM watchdog,
-           with ``ctx["deadline"]`` tightened to it so the phase-2
-           executors stop cooperatively;
+        6. the phase runs under the SIGALRM watchdog
+           (:func:`phase_deadline`, main thread only) armed for the
+           tighter of ``phase_timeout`` and the run deadline left, with
+           ``ctx["deadline"]`` set to the same bound so the phase-2
+           executors stop cooperatively on any thread;
         7. the phase is recorded in the lifecycle report;
         8. ``mid`` control faults fire;
         9. a CRC-sealed checkpoint is published into
@@ -661,14 +713,13 @@ class Engine:
         why the checks sit where they do.
         """
         from ..core.state import SCCState
-        from ..errors import IntegrityError, PhaseTimeoutError
+        from ..errors import IntegrityError
         from ..runtime.faults import (
             CONTROL_KINDS,
             apply_corruption,
             corruption_target,
         )
         from ..runtime.lifecycle import write_checkpoint
-        from .batch import phase_deadline
 
         session.ensure_transpose()
         plan = _phase_factory(method)(
@@ -679,8 +730,6 @@ class Engine:
         )
         expiry = None if deadline is None else time.monotonic() + deadline
         ctx: dict = {"session": session}
-        if expiry is not None:
-            ctx["deadline"] = expiry
         state = SCCState(session.graph, seed=seed, cost=cost)
         start, report, meta = 0, None, None
         controls = fault_plan is not None and any(
@@ -760,12 +809,13 @@ class Engine:
                     if expiry is not None and time.monotonic() >= expiry:
                         raise PhaseTimeoutError(ph.name, deadline)
                     fire(i, "pre")
-                    if phase_timeout is not None:
-                        bound = time.monotonic() + phase_timeout
-                        ctx["deadline"] = (
-                            bound if expiry is None else min(expiry, bound)
-                        )
-                    with phase_deadline(phase_timeout, ph.name):
+                    limit = phase_timeout
+                    if expiry is not None:
+                        left = expiry - time.monotonic()
+                        limit = left if limit is None else min(limit, left)
+                    if limit is not None:
+                        ctx["deadline"] = time.monotonic() + limit
+                    with phase_deadline(limit, ph.name):
                         ph.fn(state, ctx)
                     if report is not None:
                         report.phases_run.append(ph.name)

@@ -16,9 +16,9 @@ around ``multiprocessing.Pool``:
 * :meth:`terminate` is idempotent and safe on every exit path.  It
   stops the workers with SIGTERM, so every worker restores the default
   SIGTERM disposition first: a caller that ignores or handles SIGTERM
-  (``repro serve``'s drain, ``run_batch``'s interrupt guard, sharded
-  serve workers) would otherwise hand that to its workers, and a
-  condemned pool could never be joined.
+  (the serve drain that ``repro serve`` and ``repro batch`` install,
+  sharded serve workers) would otherwise hand that to its workers, and
+  a condemned pool could never be joined.
 
 ``spawns`` counts forks over the pool's lifetime; the session layer
 uses it to prove warm runs pay no respawn.

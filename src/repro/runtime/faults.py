@@ -29,17 +29,14 @@ Injection sites:
   ``"post"`` = checkpoint published) — the kill-and-resume tests crash
   the run at exact boundaries, and ``corrupt`` drills rot warm arrays
   there.
-* ``"job"`` — the batch runner (:func:`repro.engine.batch.run_batch`);
-  the index is the job position in the manifest, and the attempt
-  number is the job's retry attempt, so a transient fault with the
-  default ``times=1`` fails the first attempt and lets the retry
-  policy's second attempt through.  ``crash`` is downgraded to
-  ``raise`` here (``thread_site``) — the drill must fail the job, not
-  the batch process.
-* ``"request"`` — the serve daemon (:mod:`repro.service.server`); the
-  index is the request admission sequence number, attempts count the
-  retry policy's attempts.  Also a ``thread_site``: requests execute
-  on service threads.
+* ``"request"`` — the serve pipeline (:mod:`repro.service.server`),
+  which ``repro serve`` and ``repro batch`` share; the index is the
+  request's sequence number, counted before its check (a batch job's
+  is its manifest position), and the attempt number is the retry
+  policy's attempt, so a transient fault with the default ``times=1``
+  fails the first attempt and lets the second through.  ``crash`` is
+  downgraded to ``raise`` here (``thread_site``): the drill must fail
+  the request, not the daemon or batch process.
 * ``"stream"`` — the live-ingestion sources (:mod:`repro.ingest.
   sources`); the index is the source's monotone read sequence number,
   so a plan like ``disconnect@3,garbage@7`` drops the feed on exactly
@@ -134,8 +131,8 @@ class FaultSpec:
     Attributes
     ----------
     kind: one of :data:`FAULT_KINDS`.
-    site: injection site (``"task"``, ``"phase"``, ``"job"``,
-        ``"request"`` or ``"stream"``; see the module docstring).
+    site: injection site (``"task"``, ``"phase"``, ``"request"`` or
+        ``"stream"``; see the module docstring).
     index: dispatcher-assigned task sequence id this fault targets.
         Specs of different kinds may share an index; each call site
         matches only its own kinds (see :class:`FaultPlan`).
@@ -320,10 +317,9 @@ class FaultPlan:
         by their own call sites (``poison`` by the commit, ``corrupt``
         by the array owner, network kinds by the stream source) and
         never shadow a control fault here, whatever the plan order.
-        ``thread_site=True`` (the batch-job and serve-request sites)
-        downgrades ``crash`` to ``raise`` — killing the whole
-        interpreter to simulate one failure would take the batch or
-        the daemon with it.
+        ``thread_site=True`` (the request site) downgrades ``crash`` to
+        ``raise`` — killing the whole interpreter to simulate one
+        failure would take the daemon or the batch with it.
         """
         spec = next(
             self._armed(site, index, attempt, CONTROL_KINDS, stage), None
@@ -393,11 +389,11 @@ def retarget(
 ) -> FaultPlan:
     """Parse a plan string pinned to the one site a flag injects at.
 
-    For ``"job"``/``"request"`` every spec moves except ``"phase"``-
-    site ``corrupt`` specs, the only legal site for run-owned
-    labels/color.  For ``"stream"`` only the :data:`NETWORK_KINDS`
-    move (sources apply nothing else), and a truthy ``hang_seconds``
-    becomes their stall duration.
+    For ``"request"`` every spec moves except ``"phase"``-site
+    ``corrupt`` specs, the only legal site for run-owned labels/color.
+    For ``"stream"`` only the :data:`NETWORK_KINDS` move (sources
+    apply nothing else), and a truthy ``hang_seconds`` becomes their
+    stall duration.
     """
 
     def moves(spec: FaultSpec) -> bool:
@@ -443,18 +439,18 @@ def run_faults(
     attempt: int = 0,
     *,
     plan: Optional[FaultPlan] = None,
-    site: str = "request",
     index: int = 0,
 ) -> RunFaults:
-    """The fault slice of one run attempt (a serve request, a batch job).
+    """The fault slice of one request attempt.
 
-    ``carried`` is the request's or job's own plan string: its specs
-    target *this* run whatever their site and index.  ``plan`` is the daemon-
-    or batch-level plan: its ``corrupt`` specs armed for ``(site,
-    index, attempt)`` join the slice, and so do its ``"phase"``-site
-    ones, which ride into every run.  Every ``corrupt`` spec is
-    ``times``-gated by ``attempt`` — the default ``times=1`` rots the
-    first attempt and lets the retry's rebuilt session through.
+    ``carried`` is the request's own plan string: its specs target
+    *this* run whatever their site and index.  ``plan`` is the
+    service's plan (``repro serve``/``repro batch --fault-plan``): its
+    ``corrupt`` specs armed for ``("request", index, attempt)`` join
+    the slice, and so do its ``"phase"``-site ones, which ride into
+    every run.  Every ``corrupt`` spec is ``times``-gated by
+    ``attempt`` — the default ``times=1`` rots the first attempt and
+    lets the retry's rebuilt session through.
     """
     corrupt: List[FaultSpec] = []
     supervisor = None
@@ -467,7 +463,7 @@ def run_faults(
 
             supervisor = SupervisorConfig(fault_plan=FaultPlan(rest))
     if plan is not None:
-        corrupt += plan.corruptions(site, index, attempt)
+        corrupt += plan.corruptions("request", index, attempt)
         corrupt += [
             s for s in plan.specs if s.kind == "corrupt" and s.site == "phase"
         ]

@@ -127,7 +127,9 @@ class AdmissionController:
         #: optional ``() -> Optional[str]`` asked before every admit;
         #: a non-None reason refuses (the memory governor's veto).
         self.refusal_hook = refusal_hook
-        self._lock = threading.Lock()
+        # reentrant: drain() may run in a SIGTERM handler on the thread
+        # that holds it (repro serve's and repro batch's main thread).
+        self._lock = threading.RLock()
         self._depth = 0
         self._draining = False
         # stats

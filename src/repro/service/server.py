@@ -421,7 +421,7 @@ class EngineHost:
             else None
         )
         #: daemon-level chaos plan; its "request"-site specs match the
-        #: request's admission sequence number.
+        #: request's sequence number (counted before the check).
         self.fault_plan = fault_plan
         self._cond = threading.Condition()
         self._active = False
@@ -462,7 +462,6 @@ class EngineHost:
                     request.get("fault_plan"),
                     attempt,
                     plan=self.fault_plan,
-                    site="request",
                     index=seq,
                 )
                 faults.corrupt(session)
@@ -583,7 +582,9 @@ class SCCService(EngineHost):
                 ).start()
         #: attached live edge feeds, by name (``stream`` op registry).
         self.streams: dict = {}
-        self._streams_lock = threading.Lock()
+        # reentrant, like the admission lock: drain() may run in a
+        # SIGTERM handler on the thread that holds it.
+        self._streams_lock = threading.RLock()
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._started = clock()
@@ -750,16 +751,18 @@ class SCCService(EngineHost):
 
     def _serve(self, request: dict) -> dict:
         """One ``run``/``update``/``analysis`` request, start to finish
-        (the pipeline of the module docstring)."""
+        (the pipeline of the module docstring).  The request is
+        numbered before its check, so a refused one still takes its
+        sequence number (a batch job's is its manifest position)."""
+        with self._seq_lock:
+            seq = self._seq
+            self._seq += 1
         self._check(request)
         op = request.get("op", "run")
         cfg = self.config
         self.requests += 1
         if op == "update":
             self.updates += 1
-        with self._seq_lock:
-            seq = self._seq
-            self._seq += 1
         backend, workers = cfg.backend, 1
         if op == "run":
             backend = request.get("backend", cfg.backend)

@@ -141,6 +141,33 @@ class TestBadConfigValues:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+    @pytest.mark.parametrize(
+        "jobs, flags, needle",
+        [
+            ([{"graph": "wiki"}], ["--retries", "0"], "max_attempts"),
+            (
+                [{"graph": "wiki"}],
+                ["--retries", "2", "--backoff", "-1"],
+                "backoff",
+            ),
+            ([1], [], "job 0 must be a JSON object"),
+            (["wiki"], [], "job 0 must be a JSON object"),
+        ],
+        ids=["batch-retries", "batch-backoff", "batch-int-job",
+             "batch-string-job"],
+    )
+    def test_batch_exit_2_with_one_error_line(
+        self, capsys, tmp_path, jobs, flags, needle
+    ):
+        import json
+
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(jobs))
+        assert main(["batch", str(path), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert needle in err[0]
+
 
 class TestSweep:
     def test_panel_printed(self, capsys):

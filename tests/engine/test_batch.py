@@ -12,13 +12,14 @@ from repro.engine.batch import (
     load_manifest,
     run_batch,
 )
-from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.runtime.faults import FaultPlan, FaultSpec, retarget
 
 
 def job_fault_plan(text: str) -> FaultPlan:
-    """Parse a compact plan and pin it to the batch 'job' site."""
+    """Parse a compact plan and pin it to the 'request' site, whose
+    index is the job's manifest position."""
     return FaultPlan(
-        dataclasses.replace(s, site="job")
+        dataclasses.replace(s, site="request")
         for s in FaultPlan.parse(text).specs
     )
 
@@ -36,6 +37,10 @@ class TestBatchJob:
     def test_from_dict_requires_graph(self):
         with pytest.raises(ValueError, match="graph"):
             BatchJob.from_dict({"method": "method2"})
+
+    def test_unknown_kernel_tier_refused(self):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            BatchJob(graph="wiki", kernels="cuda")
 
     def test_describe_defaults_and_label(self):
         assert (
@@ -63,6 +68,29 @@ class TestManifest:
         path = tmp_path / "empty.json"
         path.write_text("[]")
         with pytest.raises(ValueError, match="non-empty"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "jobs, position",
+        [([1], 0), ([{"graph": "wiki"}, "wiki"], 1)],
+        ids=["int", "string"],
+    )
+    def test_non_object_job_refused_by_position(
+        self, tmp_path, jobs, position
+    ):
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(jobs))
+        with pytest.raises(
+            ValueError, match=f"job {position} must be a JSON object"
+        ):
+            load_manifest(path)
+
+    def test_bad_job_field_names_its_position(self, tmp_path):
+        path = tmp_path / "jobs.json"
+        path.write_text(
+            json.dumps([{"graph": "wiki"}, {"graph": "wiki", "kernels": "x"}])
+        )
+        with pytest.raises(ValueError, match="job 1: unknown kernel"):
             load_manifest(path)
 
 
@@ -138,6 +166,42 @@ class TestRunBatch:
         assert hit.exit_code == 1
         assert report.jobs_ok == 2
 
+    def test_refused_job_keeps_its_fault_index(self):
+        """A job the check refuses still takes its request number, so a
+        batch-level spec's index stays the job's manifest position."""
+        jobs = self.jobs()
+        jobs[0] = BatchJob(
+            graph="wiki", scale=0.05, options={"phase_timeout": 5.0}
+        )
+        with Engine() as eng:
+            report = run_batch(
+                eng, jobs, fault_plan=job_fault_plan("raise@1")
+            )
+        refused, hit, clean = report.records
+        assert refused.error_type == "ValueError"
+        assert hit.error_type == "FaultInjected"
+        assert clean.ok
+
+    def test_breaker_ladder_degrades_a_job_and_the_record_says_so(self):
+        """Jobs ride the serve breakers: three transient failures trip
+        the supervised breaker, and the next supervised job answers on
+        the serial floor, named in the record and the JSON report."""
+        jobs = [
+            BatchJob(graph="wiki", scale=0.05, backend="supervised")
+            for _ in range(4)
+        ]
+        plan = retarget("raise@0,raise@1,raise@2", "request")
+        with Engine() as eng:
+            report = run_batch(eng, jobs, fault_plan=plan)
+        assert [r.error_type for r in report.records[:3]] == [
+            "FaultInjected"
+        ] * 3
+        last = report.records[3]
+        assert last.ok, last.error
+        assert last.backend == "supervised"
+        assert last.backend_used == "serial"
+        assert report.to_dict()["jobs"][3]["backend_used"] == "serial"
+
     def test_progress_callback_sees_every_record(self):
         seen = []
         with Engine() as eng:
@@ -181,14 +245,14 @@ class TestBatchHardening:
         ]
 
     def test_batch_level_corrupt_targets_its_job_by_index(self):
-        """A batch-level ``corrupt`` spec pinned to the "job" site (the
+        """A batch-level ``corrupt`` spec pinned to the "request" site (the
         CLI --fault-plan route) rots exactly the indexed job's warm
         arrays; the integrity tier detects it and the retry recovers on
         a rebuilt session.  The other job never sees the flip."""
         from repro.service.retry import RetryPolicy
 
         plan = FaultPlan(
-            [FaultSpec(kind="corrupt", site="job", index=0, array="indices")]
+            [FaultSpec(kind="corrupt", site="request", index=0, array="indices")]
         )
         with Engine(integrity=True) as eng:
             report = run_batch(
@@ -246,7 +310,7 @@ class TestBatchHardening:
         IntegrityError failure (exit 20) and the session is
         quarantined, so the next job rebuilds and runs clean."""
         plan = FaultPlan(
-            [FaultSpec(kind="corrupt", site="job", index=0, array="indptr")]
+            [FaultSpec(kind="corrupt", site="request", index=0, array="indptr")]
         )
         with Engine(integrity=True) as eng:
             report = run_batch(eng, self.jobs(), fault_plan=plan)
@@ -260,7 +324,7 @@ class TestBatchHardening:
         assert report.integrity_failures == 1
 
     def test_retry_recovers_transient_job_fault(self):
-        """With a retry policy, a job-site fault with times=1 fails the
+        """With a retry policy, a request-site fault with times=1 fails the
         first attempt and the second attempt lands clean."""
         from repro.service.retry import RetryPolicy
 
@@ -298,6 +362,24 @@ class TestBatchHardening:
         job = BatchJob(graph="wiki", scale=0.05, timeout=1e-7)
         with Engine() as eng:
             report = run_batch(eng, [job])
+        rec = report.records[0]
+        assert not rec.ok
+        assert rec.error_type == "PhaseTimeoutError"
+        assert rec.exit_code == 14
+
+    def test_timeout_is_the_request_deadline(self):
+        """One budget for the whole job: a request-site hang that
+        outlasts the job's timeout fails it typed."""
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    kind="hang", site="request", index=0, hang_seconds=2.0
+                )
+            ]
+        )
+        job = BatchJob(graph="wiki", scale=0.05, timeout=0.3)
+        with Engine() as eng:
+            report = run_batch(eng, [job], fault_plan=plan)
         rec = report.records[0]
         assert not rec.ok
         assert rec.error_type == "PhaseTimeoutError"

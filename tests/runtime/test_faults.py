@@ -52,9 +52,9 @@ class TestFaultPlan:
             plan.fire("task", 1, stage="mid")
 
     def test_crash_downgraded_at_thread_site(self):
-        plan = FaultPlan([FaultSpec(kind="crash", site="job", index=0)])
+        plan = FaultPlan([FaultSpec(kind="crash", site="request", index=0)])
         with pytest.raises(FaultInjected):
-            plan.fire("job", 0, stage="pre", thread_site=True)
+            plan.fire("request", 0, stage="pre", thread_site=True)
 
     def test_poison_never_fires_as_control_fault(self):
         plan = FaultPlan.single("poison", index=0)
@@ -164,17 +164,17 @@ class TestFaultPlan:
         assert stream[3].hang_seconds == 0.5
         assert stream[0].hang_seconds == FaultSpec(kind="raise").hang_seconds
         with pytest.raises(ValueError):
-            retarget("explode", "job")
+            retarget("explode", "request")
 
     def test_run_faults_slices_one_attempt(self):
         carried = "raise@0,corrupt.indices@5,corrupt.labels@1:post"
         plan = FaultPlan(
             [
-                FaultSpec(kind="corrupt", site="job", index=2, array="indptr"),
-                FaultSpec(kind="corrupt", site="job", index=3, array="indptr"),
+                FaultSpec(kind="corrupt", site="request", index=2, array="indptr"),
+                FaultSpec(kind="corrupt", site="request", index=3, array="indptr"),
             ]
         )
-        first = run_faults(carried, 0, plan=plan, site="job", index=2)
+        first = run_faults(carried, 0, plan=plan, index=2)
         assert first.backend == "supervised"
         assert [s.kind for s in first.supervisor.fault_plan.specs] == [
             "raise"
@@ -183,7 +183,7 @@ class TestFaultPlan:
         # only where (site, index) matches
         assert [s.array for s in first.flips] == ["indices", "indptr"]
         assert [s.array for s in first.phase_plan.specs] == ["labels"]
-        retry = run_faults(carried, 1, plan=plan, site="job", index=2)
+        retry = run_faults(carried, 1, plan=plan, index=2)
         assert retry.flips == () and retry.phase_plan is None  # times=1
         clean = run_faults()
         assert clean.backend is None and clean.supervisor is None

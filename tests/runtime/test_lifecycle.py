@@ -359,11 +359,11 @@ class TestDeadlines:
 
     def test_enclosing_watchdog_keeps_counting(self):
         # a phase watchdog nested in an armed SIGALRM timer (the test
-        # suite's guard here, a batch job's guard in production) must
+        # suite's guard here, a caller's own timer in production) must
         # not pause the outer timer while the phase runs.
         import signal
 
-        from repro.engine.batch import phase_deadline
+        from repro.engine.engine import phase_deadline
 
         before, _ = signal.getitimer(signal.ITIMER_REAL)
         if not before:
@@ -377,6 +377,39 @@ class TestDeadlines:
         res = engine.run(graph, seed=1, phase_timeout=60.0)
         assert res.num_sccs > 0
         assert len(res.lifecycle.phases_run) == 7
+
+    def test_run_deadline_arms_the_phase_watchdog(
+        self, engine, graph, monkeypatch
+    ):
+        # on the main thread the run deadline bounds a wedged phase
+        # itself, not only the next phase boundary.
+        import repro.core.method1 as m1
+
+        monkeypatch.setattr(
+            m1, "par_trim", lambda state, **kw: time.sleep(3)
+        )
+        t0 = time.monotonic()
+        with pytest.raises(PhaseTimeoutError) as err:
+            engine.run(graph, method="method1", seed=1, deadline=0.3)
+        assert time.monotonic() - t0 < 1.5
+        assert exit_code_for(err.value) == 14
+
+    def test_run_deadline_bounds_other_methods(
+        self, engine, graph, monkeypatch
+    ):
+        from repro.core.api import METHODS
+
+        tarjan = METHODS["tarjan"]
+
+        def slow_tarjan(g, **kw):
+            time.sleep(2)
+            return tarjan(g, **kw)
+
+        monkeypatch.setitem(METHODS, "tarjan", slow_tarjan)
+        t0 = time.monotonic()
+        with pytest.raises(PhaseTimeoutError):
+            engine.run(graph, method="tarjan", deadline=0.2)
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestFaultPlanPhaseSite:

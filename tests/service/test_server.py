@@ -240,6 +240,22 @@ class TestRetryAndBreaker:
         assert "FaultInjected" in str(resp["retried_errors"][0])
         assert resp["labels_crc32"] == tarjan_crc()
 
+    def test_refused_request_keeps_its_sequence_number(self):
+        # requests are numbered before their check, so under raise@1
+        # the good request sent right after a refused one is the hit.
+        config = ServiceConfig(
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
+        )
+        plan = request_faults({"kind": "raise", "index": 1})
+        with SCCService(config, fault_plan=plan) as svc:
+            refused = svc.handle(run_request(tmieout=3))
+            hit = svc.handle(run_request())
+            clean = svc.handle(run_request())
+        assert not refused["ok"] and refused["error_type"] == "ValueError"
+        assert hit["ok"] and hit["attempts"] == 2
+        assert "FaultInjected" in str(hit["retried_errors"][0])
+        assert clean["ok"] and clean["attempts"] == 1
+
     def test_breaker_trips_and_degrades_backend(self):
         clock = FakeClock()
         config = ServiceConfig(
@@ -290,6 +306,23 @@ class TestDrainAndStats:
         assert ok["ok"]
         assert not after["ok"] and after["shed"]
         assert svc.handle({"op": "health"})["status"] == "draining"
+
+    def test_drain_signal_on_the_thread_holding_its_locks(self):
+        # repro batch runs every request on the main thread, where the
+        # drain's SIGTERM handler runs too: drain() must not deadlock on
+        # a lock that thread already holds.
+        import os
+        import signal
+
+        from repro.service.server import _drain_signals
+
+        stop = threading.Event()
+        with SCCService() as svc, _drain_signals(svc, stop):
+            with svc.admission._lock, svc._streams_lock:
+                os.kill(os.getpid(), signal.SIGTERM)
+                assert stop.wait(5.0)
+            assert svc.draining
+            assert svc.handle(run_request())["shed"]
 
     def test_shutdown_op_drains(self):
         with SCCService() as svc:
