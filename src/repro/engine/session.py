@@ -21,7 +21,10 @@ What a session caches:
 * a :class:`~repro.engine.shm.SharedStateMirror` sized for the graph;
 * a warm forked :class:`~repro.engine.pool.WorkerPool`, respawned only
   when the armed configuration (worker count, kernel backend, fault
-  plan) actually changes.
+  plan) actually changes;
+* the current graph version's certificate proofs
+  (:attr:`GraphSession.proofs`, a :class:`~repro.integrity.certify.
+  ProofLedger`), dropped on every applied update.
 
 :class:`SessionStats` records where the setup time went and how often
 each artifact was reused — the warm-vs-cold amortization evidence.
@@ -77,7 +80,13 @@ def graph_fingerprint(g: CSRGraph) -> int:
 
 @dataclass
 class SessionStats:
-    """Where one session's setup time went, and what got reused."""
+    """Where one session's setup time went, and what got reused.
+
+    ``proofs_run``/``proofs_reused`` count certificate proofs (a
+    sampled SCC's FW∧BW pair, the ``full`` level's Tarjan run) that
+    :attr:`GraphSession.proofs` ran, and that it answered from what
+    an earlier certificate of the same graph version proved.
+    """
 
     graph_load_seconds: float = 0.0
     transpose_seconds: float = 0.0
@@ -96,6 +105,9 @@ class SessionStats:
     #: integrity-tier accounting (0 when checksums are off).
     integrity_verifications: int = 0
     integrity_failures: int = 0
+    #: certificate proofs run / answered from the proof ledger.
+    proofs_run: int = 0
+    proofs_reused: int = 0
 
     def setup_seconds(self) -> float:
         """Total one-time setup paid so far (load + derive + fork)."""
@@ -122,6 +134,8 @@ class SessionStats:
             "pool_reuses": self.pool_reuses,
             "integrity_verifications": self.integrity_verifications,
             "integrity_failures": self.integrity_failures,
+            "proofs_run": self.proofs_run,
+            "proofs_reused": self.proofs_reused,
         }
 
 
@@ -134,6 +148,11 @@ class GraphSession:
     (shared-memory segments, worker processes) once the supervised
     backend has run — :meth:`close` releases them, and the session is a context
     manager.
+
+    :attr:`proofs` holds what certificates already proved about this
+    graph version's labels; it lives exactly as long as the version
+    (:meth:`mark_mutated` and :meth:`close` drop it, so do LRU
+    eviction and quarantine, which close the session).
     """
 
     def __init__(
@@ -167,6 +186,7 @@ class GraphSession:
         self._mirror: Optional[SharedStateMirror] = None
         self._pool: Optional[WorkerPool] = None
         self._pool_signature: Optional[tuple] = None
+        self._proofs = None
         self._closed = False
         self.checksums = None
         if integrity:
@@ -236,14 +256,15 @@ class GraphSession:
         Invalidates every artifact derived from the pre-mutation
         arrays: cached degrees, the structural-validation verdict, and
         the forked worker pool (its workers inherited the old graph
-        copy-on-write).  The shared mirror survives — it is sized by
-        node count, which updates never change.  Returns the new
-        version.
+        copy-on-write), and the proof ledger (its proofs were about the
+        old graph).  The shared mirror survives — it is sized by node
+        count, which updates never change.  Returns the new version.
         """
         self._check_open()
         if self._delta is None:
             raise RuntimeError("session is not mutable")
         self.version += 1
+        self._proofs = None
         self._degrees = None
         self._validated = False
         self.release_pool()
@@ -303,6 +324,25 @@ class GraphSession:
         return self._degrees
 
     # -- integrity ------------------------------------------------------
+    @property
+    def proofs(self):
+        """This graph version's :class:`~repro.integrity.certify.
+        ProofLedger` (created on first use), counting into
+        :attr:`stats`.
+
+        It trusts the graph exactly as far as the sidecars do, like the
+        cached transpose and degrees: a version's arrays are read-only
+        and checked at borrow and ``run:final``, and every applied
+        update starts a new version.  Compaction keeps it (the edge set
+        is unchanged).
+        """
+        self._check_open()
+        if self._proofs is None:
+            from ..integrity.certify import ProofLedger
+
+            self._proofs = ProofLedger(self.stats)
+        return self._proofs
+
     def integrity_arrays(self) -> dict:
         """Name -> array for every sealable artifact materialized so
         far (the ``corrupt`` fault kind targets these same names)."""
@@ -456,9 +496,10 @@ class GraphSession:
         """Approximate bytes this session pins (cache + shm + workers).
 
         Counts the CSR arrays actually materialized (graph, transpose),
-        the cached degree arrays, the shared mirror, and a nominal
-        per-worker overhead for a live pool — the currency the memory
-        governor trades in when deciding what to evict.
+        the cached degree arrays, the proof ledger's labels copy, the
+        shared mirror, and a nominal per-worker overhead for a live
+        pool — the currency the memory governor trades in when
+        deciding what to evict.
         """
         from ..runtime.cost import DEFAULT_MEMORY_MODEL as mm
 
@@ -476,6 +517,8 @@ class GraphSession:
                 total += g._in_indptr.nbytes + g._in_indices.nbytes
         if self._degrees is not None:
             total += sum(a.nbytes for a in self._degrees)
+        if self._proofs is not None:
+            total += self._proofs.nbytes
         if self._mirror is not None:
             total += int(mm.mirror_bytes_per_node * g.num_nodes)
         if self._pool is not None:
@@ -498,10 +541,12 @@ class GraphSession:
         return self._closed
 
     def close(self) -> None:
-        """Release the pool and shared-memory segments (idempotent)."""
+        """Release the pool, the shared-memory segments and the proof
+        ledger (idempotent)."""
         if self._closed:
             return
         self._closed = True
+        self._proofs = None
         if self._pool is not None:
             self._pool.terminate()
             self._pool = None

@@ -17,7 +17,8 @@ assumption with three cooperating defenses (DESIGN.md §14):
   certificates (:func:`certify_result`): canonical CRC, sampled FW∧BW
   membership proofs (one forward and one backward BFS per sampled
   SCC, confined to its label), and a full Tarjan cross-check tier for
-  small graphs;
+  small graphs, with a per-graph-version :class:`ProofLedger` so a
+  repeat request on unchanged labels reuses the proofs;
 * :mod:`repro.integrity.audit` — the continuous self-audit loop
   (:class:`SelfAuditor`): a deterministic sample of completed requests
   re-executed on the serial reference-NumPy path, mismatches
@@ -29,13 +30,20 @@ path with the deterministic ``corrupt`` fault kind
 """
 
 from .audit import AuditRecord, SelfAuditor
-from .certify import CERTIFY_LEVELS, certify_result
+from .certify import (
+    CERTIFY_LEVELS,
+    ProofLedger,
+    certify_level,
+    certify_result,
+)
 from .checksums import DEFAULT_BLOCK_BYTES, ChecksummedArrays
 
 __all__ = [
     "AuditRecord",
     "SelfAuditor",
     "CERTIFY_LEVELS",
+    "ProofLedger",
+    "certify_level",
     "certify_result",
     "ChecksummedArrays",
     "DEFAULT_BLOCK_BYTES",

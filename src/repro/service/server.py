@@ -75,6 +75,7 @@ from ..errors import (
     ServiceOverloadError,
     exit_code_for,
 )
+from ..integrity.certify import certify_level
 from ..ioutil import crc32_chunks
 from ..runtime.faults import run_faults
 from .govern import (
@@ -257,6 +258,26 @@ def _run(engine, session, request: dict, faults) -> dict:
         fault_plan=faults.phase_plan,
         **(request.get("options") or {}),
     )
+    certificate = None
+    level = certify_level(request.get("certify"))
+    if level is None:
+        crc = crc32_chunks(result.labels.tobytes())
+    else:
+        from ..integrity import certify_result
+
+        # the session's ledger skips the proofs this graph version
+        # already holds for these labels; the certificate is the same.
+        certificate = certify_result(
+            session.graph,
+            result.labels,
+            level=level,
+            seed=int(request.get("seed", 0) or 0),
+            ledger=session.proofs,
+        )
+        crc = certificate["labels_crc32"]
+        # pin the certificate to the exact graph state it proves:
+        # mutable sessions advance this per applied update batch.
+        certificate["graph_version"] = version
     response = {
         "op": "run",
         "ok": True,
@@ -265,23 +286,11 @@ def _run(engine, session, request: dict, faults) -> dict:
         "num_sccs": result.num_sccs,
         "largest_scc": result.largest_scc_size(),
         "giant_fraction": result.giant_fraction(),
-        "labels_crc32": crc32_chunks(result.labels.tobytes()),
+        "labels_crc32": crc,
         "session_fingerprint": session.fingerprint,
         "graph_version": version,
     }
-    if request.get("certify"):
-        from ..integrity import certify_result
-
-        level = request["certify"]
-        certificate = certify_result(
-            session.graph,
-            result.labels,
-            level="sample" if level is True else str(level),
-            seed=int(request.get("seed", 0) or 0),
-        )
-        # pin the certificate to the exact graph state it proves:
-        # mutable sessions advance this per applied update batch.
-        certificate["graph_version"] = version
+    if certificate is not None:
         response["certificate"] = certificate
     response["warm"] = (
         session.stats.runs == runs_before + 1
@@ -740,6 +749,7 @@ class SCCService(EngineHost):
             check_method_options(
                 request.get("method", "method2"), request.get("options")
             )
+            certify_level(request.get("certify"))
         elif op == "update":
             _edge_pairs(request.get("inserts"), "inserts")
             _edge_pairs(request.get("deletes"), "deletes")

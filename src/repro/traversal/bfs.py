@@ -23,12 +23,19 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..kernels import bfs_level_transform, dedup_sorted
+from ..kernels import bfs_level_transform, dedup_sorted, sorted_unique
+from ..kernels.reference import DEDUP_DENSITY_DIVISOR
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from ..runtime.trace import WorkTrace
 from .frontier import expand_frontier
 
-__all__ = ["BFSResult", "bfs_levels", "bfs_mask", "bfs_color_transform"]
+__all__ = [
+    "BFSResult",
+    "bfs_levels",
+    "bfs_mask",
+    "bfs_color_transform",
+    "dense_frontier",
+]
 
 
 @dataclass
@@ -74,6 +81,19 @@ def bfs_levels(g, source: int, *, direction: str = "out") -> np.ndarray:
     return dist
 
 
+def dense_frontier(targets: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """The sorted new frontier of one dense BFS level.
+
+    Scatters ``targets`` into a fresh flag array, clears every
+    ``blocked`` entry, and reads the rest back with ``flatnonzero``:
+    O(n + k), with no gather over the targets and no sort.
+    """
+    flags = np.zeros(blocked.size, dtype=bool)
+    flags[targets] = True
+    np.greater(flags, blocked, out=flags)  # flag and not blocked
+    return np.flatnonzero(flags)
+
+
 def bfs_mask(
     g,
     sources: np.ndarray | int,
@@ -89,12 +109,23 @@ def bfs_mask(
     ``allowed`` (bool mask or None) gates which nodes may be visited;
     sources are visited unconditionally.  Each level is recorded into
     ``trace`` as a dynamic parallel-for.
+
+    One ``blocked`` mask — visited nodes plus every node outside
+    ``allowed`` — filters each level.  A level with more than
+    ``n / DEDUP_DENSITY_DIVISOR`` targets takes
+    :func:`dense_frontier`; a sparser one gathers ``blocked`` over its
+    targets and sorts the survivors.
     """
     indptr, indices = _graph_arrays(g, direction)
     n = g.num_nodes
-    visited = np.zeros(n, dtype=bool)
-    frontier = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    visited[frontier] = True
+    start = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    if allowed is None:
+        blocked = np.zeros(n, dtype=bool)
+    else:
+        blocked = np.logical_not(allowed)
+    blocked[start] = True
+    frontier = start
+    dense = n // DEDUP_DENSITY_DIVISOR
     levels = 0
     edges = 0
     nodes_visited = int(frontier.size)
@@ -110,16 +141,21 @@ def bfs_mask(
             )
         if scanned == 0:
             break
-        ok = ~visited[targets]
-        if allowed is not None:
-            ok &= allowed[targets]
-        targets = targets[ok]
-        if targets.size == 0:
+        if scanned > dense:
+            frontier = dense_frontier(targets, blocked)
+        else:
+            frontier = sorted_unique(targets[~blocked[targets]])
+        if frontier.size == 0:
             break
-        visited[targets] = True
-        frontier = dedup_sorted(targets, n)
+        blocked[frontier] = True
         nodes_visited += int(frontier.size)
         levels += 1
+    if allowed is None:
+        visited = blocked
+    else:
+        # reached nodes are all allowed; sources may not be.
+        visited = np.logical_and(blocked, allowed)
+        visited[start] = True
     return visited, BFSResult(
         levels=levels, edges_scanned=edges, nodes_visited=nodes_visited
     )

@@ -151,6 +151,25 @@ class TestRunBatch:
         assert not ck.exists()
         assert tuned.ok
 
+    def test_bad_certify_fails_the_job_before_it_runs(self):
+        jobs = [
+            BatchJob(graph="wiki", scale=0.05, certify="bogus"),
+            BatchJob(graph="wiki", scale=0.05, certify="sample"),
+        ]
+        with Engine() as eng:
+            report = run_batch(eng, jobs)
+            (sess,) = eng.sessions
+            runs = sess.stats.runs
+        bad, good = report.records
+        assert not bad.ok
+        assert bad.error_type == "ValueError"
+        assert "certify" in bad.error
+        # the refused job never reached the engine: one run, and the
+        # next job on the graph paid the cold load.
+        assert runs == 1
+        assert good.ok and not good.warm
+        assert good.certificate["ok"]
+
     def test_injected_fault_survived(self):
         """The chaos drill the CLI --fault-plan flag runs: the hit job
         fails typed, every other job completes."""

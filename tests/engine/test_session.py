@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import tarjan_scc
+from repro.core.result import canonical_labels
 from repro.engine import Engine, GraphSession, graph_fingerprint
 from repro.engine.pool import fork_available
+from repro.integrity import certify_result
 from tests.conftest import random_digraph
 
 needs_fork = pytest.mark.skipif(
@@ -53,6 +56,45 @@ class TestSessionCaching:
         assert sess.closed
         with pytest.raises(RuntimeError):
             sess.ensure_transpose()
+
+
+class TestProofLedger:
+    def certify(self, sess):
+        labels = canonical_labels(tarjan_scc(sess.graph))
+        return certify_result(sess.graph, labels, ledger=sess.proofs)
+
+    def test_counted_into_the_session_stats(self):
+        with GraphSession(random_digraph(80, 300, seed=1)) as sess:
+            first = self.certify(sess)
+            assert self.certify(sess) == first
+            stats = sess.stats.to_dict()
+        assert stats["proofs_run"] == len(first["sampled"])
+        assert stats["proofs_reused"] == len(first["sampled"])
+
+    def test_estimated_bytes_include_the_labels_copy(self):
+        g = random_digraph(80, 300, seed=1)
+        with GraphSession(g) as sess:
+            sess.ensure_transpose()  # the backward proofs build it
+            before = sess.estimated_bytes()
+            self.certify(sess)
+            grown = sess.estimated_bytes() - before
+            assert grown == sess.proofs.nbytes
+            assert grown >= g.num_nodes * 8
+
+    def test_one_ledger_per_graph_version(self):
+        with Engine() as eng:
+            sess = eng.session(random_digraph(80, 300, seed=1))
+            self.certify(sess)
+            ledger = sess.proofs
+            assert sess.proofs is ledger
+            eng.update(sess, [(0, 1)], [])
+            assert sess.version == 1
+            assert sess.proofs is not ledger
+            ran = sess.stats.proofs_run
+            self.certify(sess)
+            assert sess.stats.proofs_run > ran
+            sess.close()
+            assert sess._proofs is None
 
 
 class TestEngineSessionCache:

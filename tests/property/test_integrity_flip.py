@@ -31,8 +31,9 @@ def flip_cases(draw):
     m = draw(st.integers(2, 4 * n))
     seed = draw(st.integers(0, 2**20))
     g = random_digraph(n, m, seed=seed)
-    if g.num_edges == 0:  # dedup/self-loop drop can empty tiny draws
-        g = random_digraph(n, 4 * n, seed=seed + 1)
+    while g.num_edges == 0:  # dedup/self-loop drop can empty tiny draws
+        seed += 1
+        g = random_digraph(n, 4 * n, seed=seed)
     spec = FaultSpec(
         kind="corrupt",
         site="phase",

@@ -133,6 +133,24 @@ class TestRunRequests:
         assert [s["runs"] for s in stats["sessions"].values()] == [1]
         assert tuned["ok"] and tuned["labels_crc32"] == tarjan_crc()
 
+    @pytest.mark.parametrize("certify", ["bogus", 2, ["sample"], "SAMPLE"])
+    def test_bad_certify_refused_before_the_run(self, tmp_path, certify):
+        from repro.service.journal import scan_journal
+
+        journal = tmp_path / "journal.ndjson"
+        with SCCService(ServiceConfig(journal_path=str(journal))) as svc:
+            warm = svc.handle(run_request())
+            resp = svc.handle(run_request(certify=certify))
+            stats = svc.stats()
+        assert warm["ok"]
+        assert not resp["ok"]
+        assert resp["error_type"] == "ValueError"
+        assert "certify" in resp["error"]
+        assert resp["attempts"] == 0
+        # no detection ran and nothing was journaled for it
+        assert [s["runs"] for s in stats["sessions"].values()] == [1]
+        assert scan_journal(journal).accepted == 1
+
     def test_bad_graph_fails_fast_no_retry(self):
         with SCCService() as svc:
             resp = svc.handle(run_request(graph="/no/such/file.txt"))
@@ -295,6 +313,70 @@ class TestRetryAndBreaker:
         with SCCService(config) as svc:
             svc.handle(run_request(graph="/no/such/file.txt"))
             assert svc.breakers.to_dict() == {}  # nothing recorded
+
+
+def session_stats(svc):
+    (sess,) = svc.stats()["sessions"].values()
+    return sess
+
+
+class TestProofLedger:
+    """Certified runs prove each sampled SCC once per graph version."""
+
+    def test_repeat_seed_runs_no_proof(self):
+        with SCCService() as svc:
+            first = svc.handle(run_request(certify="sample", seed=1))
+            before = session_stats(svc)
+            again = svc.handle(run_request(certify="sample", seed=1))
+            after = session_stats(svc)
+            other = svc.handle(run_request(certify=True, seed=2))
+        assert first["ok"] and again["ok"] and other["ok"]
+        assert before["proofs_run"] == len(first["certificate"]["sampled"])
+        assert before["proofs_reused"] == 0
+        assert after["proofs_run"] == before["proofs_run"]
+        assert after["proofs_reused"] == len(again["certificate"]["sampled"])
+        assert again["certificate"] == first["certificate"]
+        assert again["labels_crc32"] == first["labels_crc32"] == tarjan_crc()
+        assert other["certificate"]["level"] == "sample"
+
+    def test_certificates_match_fresh_ones(self):
+        from repro.integrity import certify_result
+
+        g = generate("wiki", scale=0.05, seed=None).graph
+        labels = canonical_labels(
+            strongly_connected_components(g, "tarjan").labels
+        )
+        with SCCService() as svc:
+            for seed in (1, 2, 1, 3, 2):
+                for level in ("sample", "full"):
+                    cert = svc.handle(
+                        run_request(certify=level, seed=seed)
+                    )["certificate"]
+                    fresh = certify_result(g, labels, level=level, seed=seed)
+                    assert cert == dict(fresh, graph_version=0)
+            assert session_stats(svc)["proofs_reused"] > 0
+
+    def test_quarantine_drops_the_ledger(self):
+        with SCCService() as svc:
+            svc.handle(run_request(certify="sample"))
+            (sess,) = svc.engine.sessions
+            assert svc.engine.quarantine(sess.fingerprint)
+            assert sess.closed and sess._proofs is None
+            resp = svc.handle(run_request(certify="sample"))
+            stats = session_stats(svc)
+        assert resp["ok"] and not resp["warm"]
+        assert stats["proofs_run"] > 0 and stats["proofs_reused"] == 0
+
+    def test_lru_eviction_drops_the_ledger(self):
+        with SCCService(ServiceConfig(max_sessions=1)) as svc:
+            svc.handle(run_request(certify="sample"))
+            (sess,) = svc.engine.sessions
+            svc.handle(run_request(scale=0.03))
+            assert sess.closed and sess._proofs is None
+            resp = svc.handle(run_request(certify="sample"))
+            stats = session_stats(svc)
+        assert resp["ok"] and not resp["warm"]
+        assert stats["proofs_run"] > 0 and stats["proofs_reused"] == 0
 
 
 class TestDrainAndStats:

@@ -362,3 +362,95 @@ class TestRunVersionStamp:
             )
         finally:
             svc.close()
+
+
+class TestProofLedgerAcrossVersions:
+    """Each applied update starts a new graph version, so its certified
+    runs prove afresh; a compaction keeps the version and the proofs.
+    Every certificate equals a fresh, ledger-free one."""
+
+    RUN = {"op": "run", "graph": GRAPH, "scale": SCALE, "certify": "sample"}
+
+    def test_update_drops_the_ledger(self):
+        svc = in_process_service()
+        try:
+            assert svc.handle(self.RUN)["ok"]
+            assert svc.handle(self.RUN)["ok"]
+            (sess,) = svc.engine.sessions
+            ran, reused = sess.stats.proofs_run, sess.stats.proofs_reused
+            assert ran > 0 and reused > 0
+            upd = svc.handle(update_request(inserts=[merging_edge()]))
+            assert upd["ok"] and upd["applied"]
+            after = svc.handle(self.RUN)
+            assert after["ok"] and after["graph_version"] == 1
+            assert sess.stats.proofs_run > ran
+            assert sess.stats.proofs_reused == reused
+        finally:
+            svc.close()
+
+    def test_compaction_keeps_the_ledger(self):
+        svc = in_process_service()
+        try:
+            upd = svc.handle(update_request(inserts=[merging_edge()]))
+            assert upd["ok"] and upd["applied"]
+            first = svc.handle(self.RUN)
+            (sess,) = svc.engine.sessions
+            ran = sess.stats.proofs_run
+            folded = svc.handle(update_request(compact=True))
+            assert folded["ok"] and folded["compacted"]
+            assert folded["graph_version"] == first["graph_version"]
+            again = svc.handle(self.RUN)
+            assert again["certificate"] == first["certificate"]
+            assert sess.stats.proofs_run == ran
+        finally:
+            svc.close()
+
+    def test_certificates_match_fresh_ones_through_a_compaction(self):
+        from repro.integrity import certify_result
+
+        scale = 0.2
+        g = generate(GRAPH, scale=scale, seed=None).graph
+        src = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+        live = set(zip(src.tolist(), g.indices.tolist()))
+        rng = np.random.default_rng(1)
+        svc = in_process_service(compact_ratio=0.01)
+        compactions = 0
+        try:
+            sess = svc.engine.load(GRAPH, scale=scale, seed=None)
+            for batch in range(20):
+                if batch:
+                    inserts = set()
+                    while len(inserts) < 12:
+                        u, v = rng.integers(0, g.num_nodes, 2).tolist()
+                        if u != v and (u, v) not in live:
+                            inserts.add((u, v))
+                    pool = sorted(live)
+                    deletes = {
+                        pool[i]
+                        for i in rng.choice(len(pool), 12, replace=False)
+                    }
+                    live = (live | inserts) - deletes
+                    upd = svc.handle(
+                        update_request(
+                            inserts=sorted(inserts),
+                            deletes=sorted(deletes),
+                            scale=scale,
+                        )
+                    )
+                    assert upd["ok"] and upd["applied"], upd
+                    compactions += upd["compacted"]
+                labels = canonical_labels(tarjan_scc(sess.graph))
+                for seed in (1, 2, 1):
+                    run = svc.handle(dict(self.RUN, scale=scale, seed=seed))
+                    assert run["ok"], run
+                    assert run["labels_crc32"] == crc32_chunks(
+                        labels.tobytes()
+                    )
+                    fresh = certify_result(sess.graph, labels, seed=seed)
+                    assert run["certificate"] == dict(
+                        fresh, graph_version=run["graph_version"]
+                    )
+            assert compactions >= 1
+            assert sess.stats.proofs_reused > 0
+        finally:
+            svc.close()

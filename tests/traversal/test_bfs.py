@@ -1,11 +1,16 @@
 """Unit tests for BFS kernels."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
+import repro.traversal.bfs
 from repro.graph import from_edge_list
+from repro.kernels.reference import DEDUP_DENSITY_DIVISOR
 from repro.runtime import WorkTrace
 from repro.traversal import bfs_color_transform, bfs_levels, bfs_mask
+from repro.traversal.bfs import dense_frontier
 from tests.conftest import random_digraph
 
 
@@ -69,6 +74,98 @@ class TestBfsMask:
         g = from_edge_list([(0, 1), (0, 2), (1, 3), (2, 3)], 4)
         _, res = bfs_mask(g, 0)
         assert res.edges_scanned == 4
+
+
+def oracle_bfs_mask(g, sources, direction, allowed):
+    """Plain per-node BFS: (visited mask, levels, edges scanned, nodes
+    visited), counted the way :func:`bfs_mask` reports them."""
+    indptr, indices = (
+        (g.indptr, g.indices)
+        if direction == "out"
+        else (g.in_indptr, g.in_indices)
+    )
+    dist = np.full(g.num_nodes, -1, dtype=np.int64)
+    queue = deque()
+    for s in sources:
+        dist[s] = 0
+        queue.append(s)
+    edges = 0
+    while queue:
+        u = queue.popleft()
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            edges += 1
+            if dist[v] < 0 and (allowed is None or allowed[v]):
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    visited = dist >= 0
+    return visited, int(dist.max()), edges, int(visited.sum())
+
+
+class TestBfsMaskOracle:
+    """bfs_mask's dense and sparse levels against a plain BFS."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    @pytest.mark.parametrize("mask", ["none", "random", "source-outside"])
+    def test_matches_per_node_bfs(self, seed, direction, mask, monkeypatch):
+        dense_calls = []
+        real_step = repro.traversal.bfs.dense_frontier
+
+        def spy(targets, blocked):
+            dense_calls.append(targets.size)
+            return real_step(targets, blocked)
+
+        monkeypatch.setattr(repro.traversal.bfs, "dense_frontier", spy)
+        rng = np.random.default_rng(seed)
+        # sparse graphs take the sorted path, denser ones flag arrays
+        n = 300
+        g = random_digraph(n, [350, 600, 2400][seed % 3], seed=seed)
+        sources = rng.choice(n, size=1 + seed % 3, replace=False)
+        allowed = None
+        if mask != "none":
+            allowed = rng.random(n) < 0.7
+        if mask == "source-outside":
+            allowed[sources] = False
+        got, res = bfs_mask(g, sources, direction=direction, allowed=allowed)
+        visited, levels, edges, nodes = oracle_bfs_mask(
+            g, sources, direction, allowed
+        )
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, visited)
+        assert (res.levels, res.edges_scanned, res.nodes_visited) == (
+            levels,
+            edges,
+            nodes,
+        )
+        assert all(k > n // DEDUP_DENSITY_DIVISOR for k in dense_calls)
+
+    def test_sparse_then_dense_level(self, monkeypatch):
+        dense_calls = []
+        real_step = repro.traversal.bfs.dense_frontier
+
+        def spy(targets, blocked):
+            dense_calls.append(targets.size)
+            return real_step(targets, blocked)
+
+        monkeypatch.setattr(repro.traversal.bfs, "dense_frontier", spy)
+        # 0 -> 1 is a one-target level; 1 -> every other node is dense.
+        n = 300
+        g = from_edge_list([(0, 1)] + [(1, k) for k in range(2, n)], n)
+        mask, res = bfs_mask(g, 0)
+        assert mask.all()
+        assert dense_calls == [n - 2]
+        assert (res.levels, res.edges_scanned, res.nodes_visited) == (
+            2,
+            n - 1,
+            n,
+        )
+
+    def test_dense_frontier_is_sorted_unique_unblocked(self):
+        rng = np.random.default_rng(4)
+        targets = rng.integers(0, 50, 200)
+        blocked = rng.random(50) < 0.4
+        want = np.unique(targets[~blocked[targets]])
+        np.testing.assert_array_equal(dense_frontier(targets, blocked), want)
 
 
 class TestBfsColorTransform:
